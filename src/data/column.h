@@ -100,6 +100,9 @@ class NumericColumn final : public Column {
   /// Copies the non-null values, in row order.
   std::vector<double> ValidValues() const;
 
+  /// Appends every row of `other` (values and validity), in order.
+  void AppendColumn(const NumericColumn& other);
+
   std::unique_ptr<Column> Clone() const override;
 
  private:
@@ -125,6 +128,11 @@ class CategoricalColumn final : public Column {
     codes_.push_back(kNullCode);
     PushValid(false);
   }
+
+  /// Appends every row of `other`, in order. The result is identical to
+  /// appending its rows one by one by string (the dictionary keeps
+  /// first-occurrence order), but each distinct value is looked up once.
+  void AppendColumn(const CategoricalColumn& other);
 
   /// Dictionary code at row `i`; `kNullCode` when null.
   int32_t code(size_t i) const {

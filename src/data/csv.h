@@ -28,6 +28,11 @@ struct CsvOptions {
 ///   nulls.
 /// - A column is numeric iff every non-missing token parses as a double;
 ///   otherwise it is categorical.
+///
+/// The text is read once, fields are not copied unless quoted, and each cell
+/// is parsed once, straight into its column. Large inputs are parsed in
+/// parallel row chunks; the table and any error are the same either way
+/// (DESIGN.md "CSV ingestion").
 class CsvReader {
  public:
   /// Parses CSV text into a table.
@@ -38,6 +43,17 @@ class CsvReader {
   static StatusOr<DataTable> ReadFile(const std::string& path,
                                       const CsvOptions& options = {});
 };
+
+namespace detail {
+
+/// CsvReader::ReadString with the text split into at most `num_chunks` row
+/// chunks whatever its size, so tests and fuzzers reach the chunked path on
+/// small inputs. The result does not depend on `num_chunks`.
+StatusOr<DataTable> ReadCsvChunked(std::string_view text,
+                                   const CsvOptions& options,
+                                   size_t num_chunks);
+
+}  // namespace detail
 
 /// CSV writer, the inverse of CsvReader: nulls are written as empty fields,
 /// fields containing the delimiter, quotes or newlines are quoted.

@@ -90,25 +90,10 @@ Status DataTable::AppendRows(const DataTable& delta) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     const Column& src = *delta.columns_[c];
     if (src.type() == ColumnType::kNumeric) {
-      auto& dst = static_cast<NumericColumn&>(*columns_[c]);
-      const auto& numeric = src.AsNumeric();
-      for (size_t i = 0; i < delta.num_rows(); ++i) {
-        if (numeric.is_valid(i)) {
-          dst.Append(numeric.value(i));
-        } else {
-          dst.AppendNull();
-        }
-      }
+      static_cast<NumericColumn&>(*columns_[c]).AppendColumn(src.AsNumeric());
     } else {
-      auto& dst = static_cast<CategoricalColumn&>(*columns_[c]);
-      const auto& categorical = src.AsCategorical();
-      for (size_t i = 0; i < delta.num_rows(); ++i) {
-        if (categorical.is_valid(i)) {
-          dst.Append(categorical.value(i));
-        } else {
-          dst.AppendNull();
-        }
-      }
+      static_cast<CategoricalColumn&>(*columns_[c])
+          .AppendColumn(src.AsCategorical());
     }
   }
   num_rows_ += delta.num_rows();

@@ -70,9 +70,23 @@ std::optional<int64_t> ParseInt64(std::string_view input) {
 }
 
 bool IsMissingToken(std::string_view value) {
-  std::string lower = ToLower(Trim(value));
-  return lower.empty() || lower == "na" || lower == "n/a" || lower == "nan" ||
-         lower == "null" || lower == "none" || lower == "?";
+  // Dispatch on length so each cell is compared against at most two markers,
+  // in place: the CSV reader calls this once per cell.
+  const std::string_view token = Trim(value);
+  switch (token.size()) {
+    case 0:
+      return true;
+    case 1:
+      return token[0] == '?';
+    case 2:
+      return EqualsIgnoreCase(token, "na");
+    case 3:
+      return EqualsIgnoreCase(token, "n/a") || EqualsIgnoreCase(token, "nan");
+    case 4:
+      return EqualsIgnoreCase(token, "null") || EqualsIgnoreCase(token, "none");
+    default:
+      return false;
+  }
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
@@ -84,14 +98,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
-}
-
-std::string ToLower(std::string_view input) {
-  std::string result(input);
-  for (char& c : result) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return result;
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -28,13 +28,11 @@ std::optional<int64_t> ParseInt64(std::string_view input);
 
 /// True if `value` case-insensitively equals one of the conventional CSV
 /// missing-value markers: "", "na", "n/a", "nan", "null", "none", "?".
+/// Surrounding whitespace is ignored. Never allocates.
 bool IsMissingToken(std::string_view value);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
-
-/// Lower-cases ASCII letters.
-std::string ToLower(std::string_view input);
 
 /// Formats a double compactly with up to `precision` significant digits
 /// ("0.5", "1.25e-06"); never produces locale-dependent separators.

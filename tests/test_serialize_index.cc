@@ -1,7 +1,9 @@
 // Tests for sketch/profile serialization, engine-from-profile, the insight
 // index (§3 "indexes"), and parallel query evaluation (§5 future work).
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -354,15 +356,21 @@ TEST(ParallelExecutionTest, WorkersProduceIdenticalResults) {
   }
 }
 
-TEST(ParallelExecutionTest, ZeroWorkersClampsToOne) {
+TEST(ParallelExecutionTest, ZeroWorkersResolveToHardwareConcurrency) {
+  // EngineOptions::num_workers: 0 resolves to hardware_concurrency (at least
+  // one worker), and an explicit 1 stays serial.
   DataTable table = MakeBenchmarkTable(200, 4, 1, 56);
-  EngineOptions options;
-  options.build_profile = false;
-  options.num_workers = 0;
-  auto engine = InsightEngine::Create(table, std::move(options));
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->num_workers(), 1u);
-  EXPECT_TRUE(engine->TopInsights("skew", 2).ok());
+  const size_t hardware =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  for (size_t requested : {size_t{0}, size_t{1}}) {
+    EngineOptions options;
+    options.build_profile = false;
+    options.num_workers = requested;
+    auto engine = InsightEngine::Create(table, std::move(options));
+    ASSERT_TRUE(engine.ok());
+    EXPECT_EQ(engine->num_workers(), requested == 0 ? hardware : 1u);
+    EXPECT_TRUE(engine->TopInsights("skew", 2).ok());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 namespace foresight {
 namespace {
 
@@ -63,6 +67,35 @@ TEST(IsMissingTokenTest, RecognizesConventionalMarkers) {
   EXPECT_FALSE(IsMissingToken("0"));
   EXPECT_FALSE(IsMissingToken("nap"));
   EXPECT_FALSE(IsMissingToken("value"));
+}
+
+TEST(IsMissingTokenTest, EveryMarkerInEveryCaseAndPadding) {
+  const std::vector<std::string> markers = {"na",   "n/a",  "nan", "null",
+                                            "none", "?",    ""};
+  const std::vector<std::string> pads = {"", " ", "\t", "  \r\n "};
+  for (const std::string& marker : markers) {
+    // Every upper/lower-case combination of the marker's letters.
+    for (unsigned mask = 0; mask < (1u << marker.size()); ++mask) {
+      std::string variant = marker;
+      for (size_t i = 0; i < variant.size(); ++i) {
+        if ((mask >> i) & 1u) {
+          variant[i] = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(variant[i])));
+        }
+      }
+      for (const std::string& left : pads) {
+        for (const std::string& right : pads) {
+          EXPECT_TRUE(IsMissingToken(left + variant + right))
+              << "'" << left + variant + right << "'";
+        }
+      }
+    }
+  }
+  // Near misses of every marker length stay values.
+  for (const char* value : {"n", "a", "/", "nA/", "n/aa", "nana", "nul",
+                            "nulls", "non", "nones", "??", "n a", "0", "-"}) {
+    EXPECT_FALSE(IsMissingToken(value)) << value;
+  }
 }
 
 TEST(EqualsIgnoreCaseTest, ComparesAsciiCaseInsensitively) {

@@ -769,7 +769,8 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
     return Status::InvalidArgument(
         "pairwise overviews require an arity-2 insight class");
   }
-  if (options.refine_min_score < 0.0) {
+  // Written so NaN (which compares false both ways) is rejected too.
+  if (!(options.refine_min_score >= 0.0)) {
     return Status::InvalidArgument("refine_min_score must be >= 0");
   }
   std::string resolved_metric = options.metric.empty()

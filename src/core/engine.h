@@ -180,8 +180,9 @@ class InsightEngine {
   /// registry falls back to rebuild (see `foresight_snapshot refresh`).
   ///
   /// NOT safe to run concurrently with queries on this engine or its table —
-  /// the serving layer holds each dataset's append/query SharedMutex
-  /// exclusively around this call (queries hold it shared).
+  /// ResidentDataset::Append, the serving layer's only caller, holds the
+  /// dataset's data_mutex() exclusively around this call (queries hold it
+  /// shared).
   StatusOr<AppendStats> AppendPartition(DataTable& table,
                                         const DataTable& delta);
 

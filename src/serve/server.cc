@@ -141,17 +141,9 @@ Status HttpServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server is already running");
   }
-  const auto& appendable = options_.appendable;
-  const bool any_appendable = appendable.table != nullptr ||
-                              appendable.engine != nullptr ||
-                              appendable.mutex != nullptr;
-  const bool all_appendable = appendable.table != nullptr &&
-                              appendable.engine != nullptr &&
-                              appendable.mutex != nullptr;
-  if (any_appendable && !all_appendable) {
-    return Status::InvalidArgument(
-        "HttpServerOptions::appendable needs table, engine, and mutex all "
-        "set (or none)");
+  if (stopping_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition(
+        "server was stopped; a stopped server cannot be restarted");
   }
   FORESIGHT_ASSIGN_OR_RETURN(
       listen_fd_,
@@ -548,55 +540,21 @@ StatusOr<const QuerySession*> HttpServer::ResolveSession(
   return &(*pin)->session();
 }
 
-SharedMutex* HttpServer::DataGuard(
-    const std::string& dataset,
-    const std::shared_ptr<const ResidentDataset>& pin) const {
-  if (!dataset.empty() && pin != nullptr) return &pin->data_mutex();
-  if (dataset.empty()) return options_.appendable.mutex;
-  return nullptr;
-}
-
 HttpResponse HttpServer::HandleAppend(const JsonValue& body,
                                       const std::string& dataset) const {
-  if (dataset.empty()) {
-    // Default dataset. Parsing only reads the schema (column names/types),
-    // which never changes after startup, so it runs before the exclusive
-    // lock; only the actual table/profile mutation excludes queries.
-    if (options_.appendable.table == nullptr) {
-      return ErrorResponse(Status::FailedPrecondition(
-          "this server's default dataset is read-only; pass 'dataset' to "
-          "append to a registry dataset, or start with --appendable"));
-    }
-    StatusOr<DataTable> delta = ParseAppendRowsV1(
-        body, *options_.appendable.table, options_.max_append_rows);
-    if (!delta.ok()) return ErrorResponse(delta.status());
-    DatasetAppendOutcome outcome;
-    {
-      WriterLock lock(*options_.appendable.mutex);
-      StatusOr<AppendStats> stats = options_.appendable.engine->AppendPartition(
-          *options_.appendable.table, *delta);
-      if (!stats.ok()) return ErrorResponse(stats.status());
-      outcome.rows_before = stats->rows_before;
-      outcome.rows_appended = stats->rows_appended;
-      outcome.num_rows = stats->num_rows;
-      outcome.delta_merged = stats->delta_merged;
-      outcome.serving_epoch = options_.appendable.engine->serving_epoch();
-    }
-    return JsonResponse(200, WireAppendResponseV1("", outcome));
-  }
-  if (options_.registry == nullptr) {
-    return ErrorResponse(Status::InvalidArgument(
-        "this server has no dataset registry; omit 'dataset' or start with "
-        "--datasets"));
-  }
   // The pin is only for parsing against the dataset's schema (stable after
   // load); DatasetRegistry::Append re-acquires and takes the dataset's own
   // data_mutex() exclusively for the mutation.
-  StatusOr<std::shared_ptr<const ResidentDataset>> pin =
-      options_.registry->Acquire(dataset);
-  if (!pin.ok()) return ErrorResponse(pin.status());
+  std::shared_ptr<const ResidentDataset> pin;
+  StatusOr<const QuerySession*> session = ResolveSession(dataset, &pin);
+  if (!session.ok()) return ErrorResponse(session.status());
+  if (pin == nullptr) {
+    return ErrorResponse(Status::FailedPrecondition(
+        "the default dataset is read-only; pass 'dataset' to append to a "
+        "registry dataset"));
+  }
   StatusOr<DataTable> delta =
-      ParseAppendRowsV1(body, (*pin)->table(), options_.max_append_rows);
+      ParseAppendRowsV1(body, pin->table(), options_.max_append_rows);
   if (!delta.ok()) return ErrorResponse(delta.status());
   StatusOr<DatasetAppendOutcome> outcome =
       options_.registry->Append(dataset, *delta);
@@ -617,9 +575,10 @@ HttpResponse HttpServer::HandleApi(const HttpRequest& request) const {
     if (!session.ok()) return ErrorResponse(session.status());
     StatusOr<InsightQuery> query = InsightQuery::FromJson(*body);
     if (!query.ok()) return ErrorResponse(query.status());
-    // Shared side of the append/query exclusion: appends to this dataset
-    // wait until in-flight queries finish (and vice versa).
-    ReaderLockMaybe guard(DataGuard(*dataset, pin));
+    // Shared side of a registry dataset's append/query exclusion: appends
+    // to it wait until in-flight queries finish (and vice versa). The
+    // default dataset is immutable, so its reads take no lock.
+    ReaderLockMaybe guard(pin != nullptr ? &pin->data_mutex() : nullptr);
     StatusOr<InsightQueryResult> result = (*session)->Execute(*query);
     if (!result.ok()) return ErrorResponse(result.status());
     return JsonResponse(200, WireQueryResponseV1(*result));
@@ -634,7 +593,7 @@ HttpResponse HttpServer::HandleApi(const HttpRequest& request) const {
     StatusOr<std::vector<InsightQuery>> queries =
         ParseQueryBatchV1(*body, options_.max_batch_queries);
     if (!queries.ok()) return ErrorResponse(queries.status());
-    ReaderLockMaybe guard(DataGuard(*dataset, pin));
+    ReaderLockMaybe guard(pin != nullptr ? &pin->data_mutex() : nullptr);
     StatusOr<std::vector<InsightQueryResult>> results =
         (*session)->ExecuteBatch(*queries);
     if (!results.ok()) return ErrorResponse(results.status());
@@ -657,7 +616,7 @@ HttpResponse HttpServer::HandleApi(const HttpRequest& request) const {
   if (!params.ok()) return ErrorResponse(params);
   StatusOr<const QuerySession*> session = ResolveSession(dataset, &pin);
   if (!session.ok()) return ErrorResponse(session.status());
-  ReaderLockMaybe guard(DataGuard(dataset, pin));
+  ReaderLockMaybe guard(pin != nullptr ? &pin->data_mutex() : nullptr);
   StatusOr<CorrelationOverview> overview =
       (*session)->engine().ComputePairwiseOverview(class_name,
                                                    overview_options);

@@ -42,27 +42,15 @@ struct HttpServerOptions {
   /// HTTP parse limits (header/body byte ceilings).
   HttpLimits limits;
   /// Multi-dataset serving (optional; must outlive the server). When set,
-  /// GET /v1/datasets lists the registry, and /v1/query, /v1/query_batch and
-  /// /v1/overview/{class} accept an optional `dataset` selector (body field
-  /// for POSTs, query parameter for overviews) routed through
-  /// DatasetRegistry::Acquire — the first query to a cold dataset loads its
-  /// snapshot inline on the worker thread, so that latency lands in the
-  /// request (and the registry.load_ms histogram), never on the event loop.
-  /// Requests without a `dataset` keep hitting the default session, so the
-  /// v1 wire contract is unchanged for existing clients.
+  /// GET /v1/datasets lists the registry, and every API route accepts an
+  /// optional `dataset` selector (body field for POSTs, query parameter for
+  /// overviews) routed through DatasetRegistry::Acquire — the first request
+  /// to a cold dataset loads its snapshot inline on the worker thread, so
+  /// that latency lands in the request (and the registry.load_ms histogram),
+  /// never on the event loop. Registry datasets are the only mutable ones:
+  /// POST /v1/append must name one. Requests without a `dataset` hit the
+  /// default session, which is always read-only.
   DatasetRegistry* registry = nullptr;
-  /// The default dataset's mutable half, enabling POST /v1/append without a
-  /// `dataset` selector. All three pointers (or none) must be set, must
-  /// refer to the same table/engine the default session serves, and must
-  /// outlive the server. `mutex` orders appends (exclusive) against query
-  /// execution (shared) on the default dataset; when unset the default
-  /// dataset is read-only and queries skip the lock entirely.
-  struct AppendableDataset {
-    DataTable* table = nullptr;
-    InsightEngine* engine = nullptr;
-    SharedMutex* mutex = nullptr;
-  };
-  AppendableDataset appendable;
   /// Upper bound on rows inside one /v1/append body.
   size_t max_append_rows = 100'000;
 };
@@ -78,21 +66,23 @@ struct HttpServerOptions {
 ///   POST /v1/query_batch  ParseQueryBatchV1 -> QuerySession::ExecuteBatch
 ///   GET  /v1/overview/C   ComputePairwiseOverview(C) (+ metric/mode/
 ///                         refine_min_score query parameters)
-///   POST /v1/append       ParseAppendRowsV1 -> incremental ingestion
-///                         (registry datasets, or the default dataset when
-///                         options.appendable is set)
+///   POST /v1/append       ParseAppendRowsV1 -> DatasetRegistry::Append
+///                         (registry datasets only; the default dataset is
+///                         read-only, so an append naming no dataset is 409)
 ///   GET  /v1/datasets     registry listing (inline; multi-dataset mode)
 ///   GET  /healthz         liveness (answered inline on the loop thread,
 ///                         even while the queue is rejecting with 503)
 ///   GET  /metrics         Prometheus text exposition (inline)
 ///
-/// With options.registry set, the three API routes additionally accept an
+/// With options.registry set, the four API routes additionally accept an
 /// optional `dataset` selector (see HttpServerOptions::registry).
+/// Default-dataset requests take no lock: nothing can mutate that table.
 ///
 /// Responses use the versioned envelope from serve/wire.h. The session (and
 /// its engine) must outlive the server. Start() spawns the loop; Stop()
 /// drains admitted requests, answers them, then closes every connection —
-/// also run by the destructor if still running.
+/// also run by the destructor if still running. A server starts at most
+/// once: it cannot be restarted after Stop().
 class HttpServer {
  public:
   HttpServer(const QuerySession& session, HttpServerOptions options = {});
@@ -101,7 +91,9 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the event loop. Fails on bind errors.
+  /// Binds, listens, and spawns the event loop. Fails on bind errors, and
+  /// with FailedPrecondition when already running or already stopped (the
+  /// admission queue is closed for good by Stop(); build a new server).
   Status Start();
 
   /// Stops accepting, drains admitted requests (they get real answers, not
@@ -156,13 +148,6 @@ class HttpServer {
   StatusOr<const QuerySession*> ResolveSession(
       const std::string& dataset,
       std::shared_ptr<const ResidentDataset>* pin) const;
-  /// The append/query exclusion lock guarding the dataset a request
-  /// resolved to: the pinned registry dataset's data_mutex(), the
-  /// appendable default dataset's mutex, or null (read-only default
-  /// dataset — no lock needed, nothing can mutate it).
-  SharedMutex* DataGuard(
-      const std::string& dataset,
-      const std::shared_ptr<const ResidentDataset>& pin) const;
   /// POST /v1/append (runs on a worker thread like queries).
   HttpResponse HandleAppend(const JsonValue& body,
                             const std::string& dataset) const;

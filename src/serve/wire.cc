@@ -174,7 +174,7 @@ JsonValue WireAppendResponseV1(const std::string& dataset,
                                const DatasetAppendOutcome& outcome) {
   JsonValue json = Envelope();
   JsonValue append = JsonValue::Object();
-  if (!dataset.empty()) append.Set("dataset", dataset);
+  append.Set("dataset", dataset);
   append.Set("rows_before", outcome.rows_before);
   append.Set("rows_appended", outcome.rows_appended);
   append.Set("num_rows", outcome.num_rows);

@@ -65,7 +65,7 @@ JsonValue WireDatasetsResponseV1(const std::vector<DatasetEntryInfo>& entries,
 
 /// v1 response for POST /v1/append:
 /// {"api_version": 1,
-///  "append": {"dataset"? (only in registry mode), "rows_before",
+///  "append": {"dataset" (the registry dataset id), "rows_before",
 ///             "rows_appended", "num_rows", "delta_merged" (false = the
 ///             engine fell back to a full re-preprocess), "serving_epoch"}}.
 JsonValue WireAppendResponseV1(const std::string& dataset,

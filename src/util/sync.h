@@ -253,9 +253,10 @@ class FORESIGHT_SCOPED_CAPABILITY ReaderLock {
 };
 
 /// Scoped shared (reader) lock of a nullable SharedMutex pointer: a no-op
-/// when `mu` is null. For paths where a lock exists only in some
-/// configurations (e.g. the HTTP server's per-dataset append/query exclusion,
-/// present only when a dataset is appendable). Mirrors absl::MutexLockMaybe.
+/// when `mu` is null. For paths where only some targets need a lock (e.g. the
+/// HTTP server's append/query exclusion: a registry dataset's data_mutex(),
+/// but no lock for the immutable default dataset). Mirrors
+/// absl::MutexLockMaybe.
 class FORESIGHT_SCOPED_CAPABILITY ReaderLockMaybe {
  public:
   explicit ReaderLockMaybe(SharedMutex* mu) FORESIGHT_ACQUIRE_SHARED(mu)

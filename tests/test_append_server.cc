@@ -1,9 +1,10 @@
-// POST /v1/append over real loopback sockets: opt-in gating (the default
-// dataset is read-only unless the server is started appendable), the strict
-// wire codec's rejection surface, end-to-end identity of post-append answers
-// with in-process execution, per-dataset registry routing, and — the TSAN
-// surface — concurrent appends racing queries on both the default dataset's
-// SharedMutex and the registry's per-dataset mutexes.
+// POST /v1/append over real loopback sockets. Registry datasets are the only
+// mutable ones: the default dataset is always read-only (409), appends route
+// per dataset id, the strict wire codec rejects malformed bodies without
+// mutating anything, post-append answers are byte-identical to in-process
+// execution on the grown dataset, and — the TSAN surface — concurrent
+// appends race queries on a dataset's data_mutex(), the only append lock
+// the server has.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,213 +30,11 @@
 namespace foresight {
 namespace {
 
-/// Server over a mutable default dataset: table + engine + append mutex wired
-/// through HttpServerOptions::appendable (what `foresight_serve --appendable`
-/// does), with the table owned here so appends can be cross-checked
-/// in-process.
-class AppendServeFixture {
- public:
-  explicit AppendServeFixture(HttpServerOptions options = {},
-                              size_t rows = 120) {
-    table_ = MakeOecdLike(rows, 17);
-    EngineOptions engine_options;
-    engine_options.num_workers = 2;
-    engine_ = std::make_unique<InsightEngine>(
-        std::move(InsightEngine::Create(table_, std::move(engine_options)))
-            .value());
-    session_ = std::make_unique<QuerySession>(*engine_);
-    options.appendable.table = &table_;
-    options.appendable.engine = engine_.get();
-    options.appendable.mutex = &append_mutex_;
-    server_ = std::make_unique<HttpServer>(*session_, options);
-    Status started = server_->Start();
-    EXPECT_TRUE(started.ok()) << started.ToString();
-  }
-
-  ~AppendServeFixture() {
-    server_->Stop();
-    server_.reset();
-    session_.reset();
-    engine_.reset();
-  }
-
-  HttpClient Client() {
-    HttpClient client;
-    Status status = client.Connect(server_->port());
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return client;
-  }
-
-  DataTable& table() { return table_; }
-  QuerySession& session() { return *session_; }
-
- private:
-  DataTable table_;
-  SharedMutex append_mutex_;
-  std::unique_ptr<InsightEngine> engine_;
-  std::unique_ptr<QuerySession> session_;
-  std::unique_ptr<HttpServer> server_;
-};
-
-/// One all-numeric-or-null append row matching MakeOecdLike's schema: null
-/// for categorical columns, `fill` for numeric ones.
-std::string UniformRowBody(const DataTable& table, double fill,
-                           size_t copies = 1) {
-  JsonValue rows = JsonValue::Array();
-  for (size_t r = 0; r < copies; ++r) {
-    JsonValue row = JsonValue::Array();
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (table.column(c).type() == ColumnType::kNumeric) {
-        row.Append(fill);
-      } else {
-        row.Append(JsonValue());
-      }
-    }
-    rows.Append(std::move(row));
-  }
-  JsonValue body = JsonValue::Object();
-  body.Set("rows", std::move(rows));
-  return body.Dump();
-}
-
-TEST(AppendServeTest, DefaultDatasetIsReadOnlyWithoutOptIn) {
-  // A server started without --appendable must refuse mutation outright —
-  // 409 (FailedPrecondition), not 404: the route exists, the state forbids.
-  DataTable table = MakeOecdLike(60, 3);
-  auto engine = InsightEngine::Create(table);
-  ASSERT_TRUE(engine.ok());
-  QuerySession session(*engine);
-  HttpServer server(session, {});
-  ASSERT_TRUE(server.Start().ok());
-
-  HttpClient client;
-  ASSERT_TRUE(client.Connect(server.port()).ok());
-  auto response =
-      client.Request("POST", "/v1/append", UniformRowBody(table, 1.0));
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->status, 409);
-  auto wrong_method = client.Request("GET", "/v1/append");
-  ASSERT_TRUE(wrong_method.ok());
-  EXPECT_EQ(wrong_method->status, 405);
-  server.Stop();
-}
-
-TEST(AppendServeTest, AppendExtendsServedTableAndAnswersStayIdentical) {
-  AppendServeFixture fixture;
-  HttpClient client = fixture.Client();
-  const size_t rows_before = fixture.table().num_rows();
-
-  auto response =
-      client.Request("POST", "/v1/append",
-                     UniformRowBody(fixture.table(), 41.5, /*copies=*/3));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->status, 200) << response->body;
-  auto body = JsonValue::Parse(response->body);
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body->Get("api_version")->as_number(), 1.0);
-  const JsonValue* append = body->Get("append");
-  ASSERT_NE(append, nullptr);
-  EXPECT_EQ(append->Get("rows_before")->as_number(),
-            static_cast<double>(rows_before));
-  EXPECT_EQ(append->Get("rows_appended")->as_number(), 3.0);
-  EXPECT_EQ(append->Get("num_rows")->as_number(),
-            static_cast<double>(rows_before + 3));
-  EXPECT_TRUE(append->Get("delta_merged")->as_bool());
-  EXPECT_EQ(append->Get("dataset"), nullptr);  // Default-dataset response.
-  const double epoch_first = append->Get("serving_epoch")->as_number();
-
-  EXPECT_EQ(fixture.table().num_rows(), rows_before + 3);
-
-  // Post-append answers must match in-process execution on the grown table
-  // byte for byte (the served session and the fixture share one engine).
-  InsightQuery query;
-  query.class_name = "outliers";
-  query.top_k = 5;
-  query.mode = ExecutionMode::kExact;
-  auto in_process = fixture.session().Execute(query);
-  ASSERT_TRUE(in_process.ok());
-  auto served = client.Request("POST", "/v1/query", query.ToJson().Dump());
-  ASSERT_TRUE(served.ok());
-  ASSERT_EQ(served->status, 200) << served->body;
-  auto served_body = JsonValue::Parse(served->body);
-  ASSERT_TRUE(served_body.ok());
-  EXPECT_EQ(served_body->Get("result")->Dump(),
-            WireResultV1(*in_process).Dump());
-
-  // A second append advances the serving epoch (cache keys can never alias
-  // across appends).
-  auto second = client.Request("POST", "/v1/append",
-                               UniformRowBody(fixture.table(), -3.25));
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second->status, 200) << second->body;
-  auto second_body = JsonValue::Parse(second->body);
-  ASSERT_TRUE(second_body.ok());
-  EXPECT_GT(second_body->Get("append")->Get("serving_epoch")->as_number(),
-            epoch_first);
-}
-
-TEST(AppendServeTest, StrictCodecRejectsMalformedAppends) {
-  HttpServerOptions options;
-  options.max_append_rows = 4;
-  AppendServeFixture fixture(options);
-  HttpClient client = fixture.Client();
-  const size_t rows_before = fixture.table().num_rows();
-  const size_t columns = fixture.table().num_columns();
-
-  const std::string valid_cells = [&] {
-    std::string cells;
-    for (size_t c = 0; c < columns; ++c) {
-      if (c > 0) cells += ", ";
-      cells += fixture.table().column(c).type() == ColumnType::kNumeric
-                   ? "1.0"
-                   : "null";
-    }
-    return cells;
-  }();
-
-  const std::vector<std::string> bad = {
-      R"(not json)",
-      R"({})",                                  // missing rows
-      R"({"rows": []})",                        // empty batch
-      R"({"rows": 7})",                         // rows not an array
-      R"({"rows": [7]})",                       // row not an array
-      R"({"rows": [[1.0]]})",                   // arity mismatch
-      R"({"rows": [[)" + valid_cells + R"(]], "extra": 1})",  // unknown field
-      // Five rows against max_append_rows = 4.
-      R"({"rows": [[)" + valid_cells + R"(], [)" + valid_cells + R"(], [)" +
-          valid_cells + R"(], [)" + valid_cells + R"(], [)" + valid_cells +
-          R"(]]})",
-  };
-  for (const std::string& payload : bad) {
-    SCOPED_TRACE(payload);
-    auto response = client.Request("POST", "/v1/append", payload);
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->status, 400) << response->body;
-  }
-
-  // Type mismatch: a string in a numeric cell (and vice versa).
-  std::string flipped_cells;
-  for (size_t c = 0; c < columns; ++c) {
-    if (c > 0) flipped_cells += ", ";
-    flipped_cells += fixture.table().column(c).type() == ColumnType::kNumeric
-                         ? R"("oops")"
-                         : "1.0";
-  }
-  auto flipped =
-      client.Request("POST", "/v1/append", R"({"rows": [[)" + flipped_cells +
-                                               R"(]]})");
-  ASSERT_TRUE(flipped.ok());
-  EXPECT_EQ(flipped->status, 400) << flipped->body;
-
-  // Nothing above may have mutated the table.
-  EXPECT_EQ(fixture.table().num_rows(), rows_before);
-}
-
 /// Registry-backed server over two on-disk datasets (one snapshotted), the
 /// `--datasets` deployment shape; appends route per dataset id.
 class RegistryAppendFixture {
  public:
-  RegistryAppendFixture() {
+  explicit RegistryAppendFixture(HttpServerOptions options = {}) {
     dir_ = testing::TempDir() + "/foresight_append_datasets";
     std::filesystem::create_directories(dir_);
     for (int i = 0; i < 2; ++i) {
@@ -252,7 +51,11 @@ class RegistryAppendFixture {
             WriteProfileSnapshot(*profile, dir_ + "/" + id + ".fsnap").ok());
       }
     }
-    registry_ = std::make_unique<DatasetRegistry>();
+    // Two workers per dataset engine, so appends and queries also exercise
+    // the engines' parallel paths.
+    DatasetRegistryOptions registry_options;
+    registry_options.num_workers = 2;
+    registry_ = std::make_unique<DatasetRegistry>(std::move(registry_options));
     auto specs = DatasetRegistry::ScanDirectory(dir_);
     EXPECT_TRUE(specs.ok());
     for (DatasetSpec& spec : *specs) {
@@ -264,7 +67,6 @@ class RegistryAppendFixture {
     EXPECT_TRUE(engine.ok());
     engine_ = std::make_unique<InsightEngine>(std::move(*engine));
     session_ = std::make_unique<QuerySession>(*engine_);
-    HttpServerOptions options;
     options.registry = registry_.get();
     server_ = std::make_unique<HttpServer>(*session_, options);
     EXPECT_TRUE(server_->Start().ok());
@@ -286,7 +88,12 @@ class RegistryAppendFixture {
     return client;
   }
 
-  DatasetRegistry& registry() { return *registry_; }
+  /// The resident dataset `id` (loaded on first use).
+  std::shared_ptr<const ResidentDataset> Dataset(const std::string& id) {
+    auto dataset = registry_->Acquire(id);
+    EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
+    return dataset.ok() ? *dataset : nullptr;
+  }
 
  private:
   std::string dir_;
@@ -309,6 +116,184 @@ std::string BenchmarkRowBody(const std::string& dataset, double fill) {
   if (!dataset.empty()) body.Set("dataset", dataset);
   body.Set("rows", std::move(rows));
   return body.Dump();
+}
+
+/// An append body for `table`'s schema with `copies` identical rows: `fill`
+/// in numeric columns, null in categorical ones, plus the dataset selector
+/// unless `dataset` is empty.
+std::string UniformRowBody(const std::string& dataset, const DataTable& table,
+                           double fill, size_t copies = 1) {
+  JsonValue rows = JsonValue::Array();
+  for (size_t r = 0; r < copies; ++r) {
+    JsonValue row = JsonValue::Array();
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (table.column(c).type() == ColumnType::kNumeric) {
+        row.Append(fill);
+      } else {
+        row.Append(JsonValue());
+      }
+    }
+    rows.Append(std::move(row));
+  }
+  JsonValue body = JsonValue::Object();
+  if (!dataset.empty()) body.Set("dataset", dataset);
+  body.Set("rows", std::move(rows));
+  return body.Dump();
+}
+
+TEST(AppendServeTest, DefaultDatasetIsReadOnly) {
+  // An append that names no dataset must be refused outright — 409
+  // (FailedPrecondition), not 404: the route exists, the state forbids.
+  DataTable table = MakeOecdLike(60, 3);
+  auto engine = InsightEngine::Create(table);
+  ASSERT_TRUE(engine.ok());
+  QuerySession session(*engine);
+  HttpServer server(session, {});
+  ASSERT_TRUE(server.Start().ok());
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  auto response =
+      client.Request("POST", "/v1/append", UniformRowBody("", table, 1.0));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 409) << response->body;
+  auto error = JsonValue::Parse(response->body);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->Get("error")->Get("code")->as_string(),
+            "FailedPrecondition");
+  auto wrong_method = client.Request("GET", "/v1/append");
+  ASSERT_TRUE(wrong_method.ok());
+  EXPECT_EQ(wrong_method->status, 405);
+  EXPECT_EQ(table.num_rows(), 60u);
+  server.Stop();
+}
+
+TEST(AppendServeTest, AppendExtendsServedTableAndAnswersStayIdentical) {
+  RegistryAppendFixture fixture;
+  HttpClient client = fixture.Client();
+  const std::shared_ptr<const ResidentDataset> dataset =
+      fixture.Dataset("set0");
+  ASSERT_NE(dataset, nullptr);
+  const size_t rows_before = dataset->table().num_rows();
+
+  auto response = client.Request(
+      "POST", "/v1/append",
+      UniformRowBody("set0", dataset->table(), 41.5, /*copies=*/3));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->status, 200) << response->body;
+  auto body = JsonValue::Parse(response->body);
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body->Get("api_version")->as_number(), 1.0);
+  const JsonValue* append = body->Get("append");
+  ASSERT_NE(append, nullptr);
+  EXPECT_EQ(append->Get("dataset")->as_string(), "set0");
+  EXPECT_EQ(append->Get("rows_before")->as_number(),
+            static_cast<double>(rows_before));
+  EXPECT_EQ(append->Get("rows_appended")->as_number(), 3.0);
+  EXPECT_EQ(append->Get("num_rows")->as_number(),
+            static_cast<double>(rows_before + 3));
+  EXPECT_TRUE(append->Get("delta_merged")->as_bool());
+  const double epoch_first = append->Get("serving_epoch")->as_number();
+
+  // The registry serves the mutated resident in place: the pin taken
+  // before the append sees the grown table.
+  EXPECT_EQ(fixture.Dataset("set0").get(), dataset.get());
+  EXPECT_EQ(dataset->table().num_rows(), rows_before + 3);
+
+  // Post-append answers must match in-process execution on the grown
+  // dataset byte for byte (the served and in-process sessions are one).
+  InsightQuery query;
+  query.class_name = "outliers";
+  query.top_k = 5;
+  query.mode = ExecutionMode::kExact;
+  StatusOr<InsightQueryResult> in_process = Status::Internal("unset");
+  {
+    ReaderLock lock(dataset->data_mutex());
+    in_process = dataset->session().Execute(query);
+  }
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  JsonValue routed = query.ToJson();
+  routed.Set("dataset", "set0");
+  auto served = client.Request("POST", "/v1/query", routed.Dump());
+  ASSERT_TRUE(served.ok());
+  ASSERT_EQ(served->status, 200) << served->body;
+  auto served_body = JsonValue::Parse(served->body);
+  ASSERT_TRUE(served_body.ok());
+  EXPECT_EQ(served_body->Get("result")->Dump(),
+            WireResultV1(*in_process).Dump());
+
+  // A second append advances the serving epoch (cache keys can never alias
+  // across appends).
+  auto second = client.Request(
+      "POST", "/v1/append", UniformRowBody("set0", dataset->table(), -3.25));
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->status, 200) << second->body;
+  auto second_body = JsonValue::Parse(second->body);
+  ASSERT_TRUE(second_body.ok());
+  EXPECT_GT(second_body->Get("append")->Get("serving_epoch")->as_number(),
+            epoch_first);
+}
+
+TEST(AppendServeTest, StrictCodecRejectsMalformedAppends) {
+  HttpServerOptions options;
+  options.max_append_rows = 4;
+  RegistryAppendFixture fixture(options);
+  HttpClient client = fixture.Client();
+  const std::shared_ptr<const ResidentDataset> dataset =
+      fixture.Dataset("set0");
+  ASSERT_NE(dataset, nullptr);
+  const DataTable& table = dataset->table();
+  const size_t rows_before = table.num_rows();
+  const size_t columns = table.num_columns();
+
+  const std::string valid_cells = [&] {
+    std::string cells;
+    for (size_t c = 0; c < columns; ++c) {
+      if (c > 0) cells += ", ";
+      cells += table.column(c).type() == ColumnType::kNumeric ? "1.0" : "null";
+    }
+    return cells;
+  }();
+
+  // Every body but the first names the dataset, so each reaches the strict
+  // codec with the selector already stripped.
+  const std::string head = R"({"dataset": "set0")";
+  const std::vector<std::string> bad = {
+      R"(not json)",
+      head + "}",                                // missing rows
+      head + R"(, "rows": []})",                 // empty batch
+      head + R"(, "rows": 7})",                  // rows not an array
+      head + R"(, "rows": [7]})",                // row not an array
+      head + R"(, "rows": [[1.0]]})",            // arity mismatch
+      head + R"(, "rows": [[)" + valid_cells + R"(]], "extra": 1})",  // unknown
+      R"({"dataset": 7, "rows": [[)" + valid_cells + R"(]]})",  // bad selector
+      // Five rows against max_append_rows = 4.
+      head + R"(, "rows": [[)" + valid_cells + R"(], [)" + valid_cells +
+          R"(], [)" + valid_cells + R"(], [)" + valid_cells + R"(], [)" +
+          valid_cells + R"(]]})",
+  };
+  for (const std::string& payload : bad) {
+    SCOPED_TRACE(payload);
+    auto response = client.Request("POST", "/v1/append", payload);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 400) << response->body;
+  }
+
+  // Type mismatch: a string in a numeric cell (and vice versa).
+  std::string flipped_cells;
+  for (size_t c = 0; c < columns; ++c) {
+    if (c > 0) flipped_cells += ", ";
+    flipped_cells +=
+        table.column(c).type() == ColumnType::kNumeric ? R"("oops")" : "1.0";
+  }
+  auto flipped = client.Request(
+      "POST", "/v1/append", head + R"(, "rows": [[)" + flipped_cells + "]]}");
+  ASSERT_TRUE(flipped.ok());
+  EXPECT_EQ(flipped->status, 400) << flipped->body;
+
+  // Nothing above may have mutated the dataset.
+  EXPECT_EQ(table.num_rows(), rows_before);
+  EXPECT_FALSE(dataset->mutated());
 }
 
 TEST(AppendServeTest, RegistryRoutedAppendTargetsOneDatasetOnly) {
@@ -367,26 +352,38 @@ TEST(AppendServeTest, RegistryRoutedAppendTargetsOneDatasetOnly) {
 }
 
 TEST(AppendServeTest, ConcurrentAppendsAndQueriesStayCoherent) {
-  // The TSAN gate for the serving-side locking: appends (exclusive) racing
-  // queries (shared) on the default dataset's SharedMutex. Every request
-  // must succeed and the table must end exactly (initial + appends) rows —
-  // no lost updates, no torn reads.
-  AppendServeFixture fixture;
-  const size_t rows_before = fixture.table().num_rows();
+  // The TSAN gate for the serving-side locking: appends (exclusive, inside
+  // ResidentDataset::Append) racing queries (shared, in the server's query
+  // route) on one registry dataset's data_mutex(). Every request must
+  // succeed and the dataset must end exactly (initial + appends) rows — no
+  // lost updates, no torn reads.
+  RegistryAppendFixture fixture;
+  const std::shared_ptr<const ResidentDataset> dataset =
+      fixture.Dataset("set0");
+  ASSERT_NE(dataset, nullptr);
+  const size_t rows_before = dataset->table().num_rows();
   constexpr int kAppendThreads = 2;
   constexpr int kAppendsPerThread = 6;
   constexpr int kQueryThreads = 2;
   constexpr int kQueriesPerThread = 10;
 
+  // Bodies are built up front: reading the table's schema from a client
+  // thread while the server appends would itself be an unlocked read.
+  std::vector<std::vector<std::string>> append_bodies(kAppendThreads);
+  for (int t = 0; t < kAppendThreads; ++t) {
+    for (int i = 0; i < kAppendsPerThread; ++i) {
+      append_bodies[static_cast<size_t>(t)].push_back(UniformRowBody(
+          "set0", dataset->table(), static_cast<double>(t * 100 + i)));
+    }
+  }
+
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < kAppendThreads; ++t) {
-    threads.emplace_back([&fixture, &failures, t] {
+  for (const std::vector<std::string>& bodies : append_bodies) {
+    threads.emplace_back([&fixture, &failures, &bodies] {
       HttpClient client = fixture.Client();
-      for (int i = 0; i < kAppendsPerThread; ++i) {
-        auto response = client.Request(
-            "POST", "/v1/append",
-            UniformRowBody(fixture.table(), static_cast<double>(t * 100 + i)));
+      for (const std::string& body : bodies) {
+        auto response = client.Request("POST", "/v1/append", body);
         if (!response.ok() || response->status != 200) failures.fetch_add(1);
       }
     });
@@ -397,14 +394,16 @@ TEST(AppendServeTest, ConcurrentAppendsAndQueriesStayCoherent) {
       for (int i = 0; i < kQueriesPerThread; ++i) {
         auto response = client.Request(
             "POST", "/v1/query",
-            R"({"class": "dispersion", "top_k": 4, "mode": "exact"})");
+            R"({"class": "dispersion", "top_k": 4, "mode": "exact", )"
+            R"("dataset": "set0"})");
         if (!response.ok() || response->status != 200) failures.fetch_add(1);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(fixture.table().num_rows(),
+  ReaderLock lock(dataset->data_mutex());
+  EXPECT_EQ(dataset->table().num_rows(),
             rows_before + kAppendThreads * kAppendsPerThread);
 }
 

@@ -6,6 +6,7 @@
 // allowed to change how much work is done, never the answer.
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -378,9 +379,15 @@ TEST(PairwisePruneTest, InvalidOverviewThresholdRejected) {
   PairwiseOverviewOptions options;
   options.metric = "pearson";
   options.mode = ExecutionMode::kExact;
-  options.refine_min_score = -0.5;
-  auto overview = engine.ComputePairwiseOverview("linear_relationship", options);
-  EXPECT_FALSE(overview.ok());
+  for (const double threshold :
+       {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(threshold);
+    options.refine_min_score = threshold;
+    auto overview =
+        engine.ComputePairwiseOverview("linear_relationship", options);
+    EXPECT_FALSE(overview.ok());
+    EXPECT_EQ(overview.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -126,6 +126,17 @@ TEST(ServeTest, HealthzAnswers) {
   EXPECT_EQ(body->Get("status")->as_string(), "ok");
 }
 
+TEST(ServeTest, StartAfterStopFails) {
+  // Stop() closes the admission queue for good; a second Start() must say
+  // so rather than report a port nothing listens on.
+  ServeFixture fixture(/*num_workers=*/2);
+  EXPECT_EQ(fixture.server().Start().code(), StatusCode::kFailedPrecondition);
+  fixture.server().Stop();
+  Status restarted = fixture.server().Start();
+  EXPECT_EQ(restarted.code(), StatusCode::kFailedPrecondition)
+      << restarted.ToString();
+}
+
 TEST(ServeTest, MetricsExposesPrometheusText) {
   ServeFixture fixture(/*num_workers=*/2);
   HttpClient client = fixture.Client();
@@ -222,6 +233,14 @@ TEST(ServeTest, OverviewMatchesInProcessAndParsesParams) {
       client.Request("GET", "/v1/overview/linear_relationship?mode=warp");
   ASSERT_TRUE(bad_mode.ok());
   EXPECT_EQ(bad_mode->status, 400);
+  // strtod parses "nan", so the engine's own threshold check must catch it.
+  for (const std::string nan : {"nan", "-nan"}) {
+    SCOPED_TRACE(nan);
+    auto nan_threshold = client.Request(
+        "GET", "/v1/overview/linear_relationship?refine_min_score=" + nan);
+    ASSERT_TRUE(nan_threshold.ok());
+    EXPECT_EQ(nan_threshold->status, 400) << nan_threshold->body;
+  }
 }
 
 TEST(ServeTest, ErrorPathsMapStatusCodes) {

@@ -5,7 +5,8 @@
 //   foresight_serve [--port=N] [--port-file=PATH] [--csv=PATH | --rows=N]
 //                   [--workers=N] [--queue-capacity=N] [--idle-timeout-ms=N]
 //                   [--datasets=DIR] [--memory-budget=BYTES]
-//                   [--dataset-workers=N] [--no-profile] [--smoke]
+//                   [--dataset-workers=N] [--max-append-rows=N]
+//                   [--no-profile] [--smoke]
 //
 //   --port=N            Listen port on 127.0.0.1 (default 0 = ephemeral).
 //   --port-file=PATH    Write the bound port to PATH once listening — how CI
@@ -19,9 +20,11 @@
 //                       selectable dataset (sibling <id>.fsnap snapshots are
 //                       used when present), listed at GET /v1/datasets and
 //                       addressed by the optional `dataset` field/parameter
-//                       on the query routes. Datasets load lazily on first
+//                       on the API routes. Datasets load lazily on first
 //                       use; the default table keeps serving requests that
-//                       name no dataset.
+//                       name no dataset. Registry datasets are the only
+//                       mutable ones: POST /v1/append must name one (the
+//                       default table is read-only; appends to it get 409).
 //   --memory-budget=BYTES  Global budget over resident dataset bytes
 //                       (table + profile estimates); least-recently-used
 //                       datasets are evicted to admit new ones. 0 (default)
@@ -29,30 +32,26 @@
 //   --dataset-workers=N Worker threads per resident dataset engine
 //                       (default 1; hundreds of datasets must not spawn
 //                       hundreds of hardware-sized pools).
-//   --appendable        Enable POST /v1/append on the default dataset:
-//                       appended rows are delta-merged into the serving
-//                       profile (full rebuild on sketch-geometry changes),
-//                       with appends and queries excluded via a
-//                       reader/writer lock. Registry datasets (--datasets)
-//                       are always appendable via the `dataset` field.
 //   --max-append-rows=N Upper bound on rows in one /v1/append body
 //                       (default 100000).
 //   --no-profile        Skip sketch preprocessing (exact-only serving).
 //   --smoke             Start, answer one self-issued /healthz and
-//                       /v1/query over a real socket — plus /v1/datasets and
-//                       a dataset-selecting query when --datasets is set,
-//                       plus an /v1/append + re-query leg when --appendable
-//                       is set — then exit 0.
+//                       /v1/query over a real socket — plus, when --datasets
+//                       is set, /v1/datasets, a dataset-selecting query, and
+//                       an /v1/append + re-query leg on the first dataset —
+//                       then exit 0.
 //
-// The process runs until SIGINT/SIGTERM, then drains admitted requests and
-// exits 0.
+// Numeric flags take a plain decimal that must parse in full and fit its
+// type; anything else prints the usage line and exits 1. The process runs
+// until SIGINT/SIGTERM, then drains admitted requests and exits 0.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/dataset_registry.h"
@@ -79,9 +78,8 @@ int Usage() {
       "                       [--workers=N] [--queue-capacity=N] "
       "[--idle-timeout-ms=N]\n"
       "                       [--datasets=DIR] [--memory-budget=BYTES]\n"
-      "                       [--dataset-workers=N] [--appendable]\n"
-      "                       [--max-append-rows=N] [--no-profile] "
-      "[--smoke]\n");
+      "                       [--dataset-workers=N] [--max-append-rows=N]\n"
+      "                       [--no-profile] [--smoke]\n");
   return 1;
 }
 
@@ -97,20 +95,26 @@ struct Args {
   size_t dataset_workers = 1;
   uint32_t idle_timeout_ms = 10'000;
   size_t max_append_rows = 100'000;
-  bool appendable = false;
   bool build_profile = true;
   bool smoke = false;
 };
 
-bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out) {
-  const size_t len = std::strlen(prefix);
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = static_cast<size_t>(std::strtoull(arg.c_str() + len, nullptr, 10));
+/// Matches `arg` against the numeric flag `prefix` ("--name="). Returns
+/// false for any other flag. On a match, parses the value into *out and sets
+/// *valid: the value must be a non-empty decimal, consumed in full, that
+/// fits T.
+template <typename T>
+bool ParseNumericFlag(std::string_view arg, std::string_view prefix, T* out,
+                      bool* valid) {
+  if (arg.substr(0, prefix.size()) != prefix) return false;
+  const std::string_view text = arg.substr(prefix.size());
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  *valid = !text.empty() && ec == std::errc() && ptr == end;
   return true;
 }
 
-int Smoke(uint16_t port, const DatasetRegistry* registry,
-          const DataTable* appendable) {
+int Smoke(uint16_t port, DatasetRegistry* registry) {
   HttpClient client;
   Status status = client.Connect(port);
   if (!status.ok()) {
@@ -133,32 +137,6 @@ int Smoke(uint16_t port, const DatasetRegistry* registry,
                             : query.status().ToString().c_str());
     return 1;
   }
-  if (appendable != nullptr) {
-    // One all-null row exercises the whole append path (wire decode, table
-    // growth, delta merge, epoch bump) against any schema.
-    std::string body = R"({"rows": [[)";
-    for (size_t c = 0; c < appendable->num_columns(); ++c) {
-      if (c > 0) body += ", ";
-      body += "null";
-    }
-    body += "]]}";
-    auto appended = client.Request("POST", "/v1/append", body);
-    if (!appended.ok() || appended->status != 200) {
-      std::fprintf(stderr, "smoke: /v1/append failed (%d): %s\n",
-                   appended.ok() ? appended->status : -1,
-                   appended.ok() ? appended->body.c_str()
-                                 : appended.status().ToString().c_str());
-      return 1;
-    }
-    auto requery = client.Request(
-        "POST", "/v1/query",
-        R"({"class": "linear_relationship", "top_k": 3, "mode": "exact"})");
-    if (!requery.ok() || requery->status != 200) {
-      std::fprintf(stderr, "smoke: post-append /v1/query failed\n");
-      return 1;
-    }
-    std::printf("smoke append ok: %s\n", appended->body.c_str());
-  }
   if (registry != nullptr) {
     auto listing = client.Request("GET", "/v1/datasets");
     if (!listing.ok() || listing->status != 200) {
@@ -179,8 +157,38 @@ int Smoke(uint16_t port, const DatasetRegistry* registry,
                                  : routed.status().ToString().c_str());
         return 1;
       }
+      // One all-null row exercises the whole append path (wire decode,
+      // table growth, delta merge, epoch bump) against any schema.
+      auto dataset = registry->Acquire(entries.front().id);
+      if (!dataset.ok()) {
+        std::fprintf(stderr, "smoke: acquiring %s failed: %s\n",
+                     entries.front().id.c_str(),
+                     dataset.status().ToString().c_str());
+        return 1;
+      }
+      std::string append_body = R"({"dataset": ")" + entries.front().id +
+                                R"(", "rows": [[)";
+      for (size_t c = 0; c < (*dataset)->table().num_columns(); ++c) {
+        if (c > 0) append_body += ", ";
+        append_body += "null";
+      }
+      append_body += "]]}";
+      auto appended = client.Request("POST", "/v1/append", append_body);
+      if (!appended.ok() || appended->status != 200) {
+        std::fprintf(stderr, "smoke: /v1/append failed (%d): %s\n",
+                     appended.ok() ? appended->status : -1,
+                     appended.ok() ? appended->body.c_str()
+                                   : appended.status().ToString().c_str());
+        return 1;
+      }
+      auto requery = client.Request("POST", "/v1/query", body);
+      if (!requery.ok() || requery->status != 200) {
+        std::fprintf(stderr, "smoke: post-append dataset query failed\n");
+        return 1;
+      }
+      std::printf("smoke append ok: %s\n", appended->body.c_str());
       std::printf("smoke ok (dataset %s): %s\n", entries.front().id.c_str(),
-                  routed->body.c_str());
+                  requery->body.c_str());
       return 0;
     }
   }
@@ -192,30 +200,27 @@ int Main(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    size_t port_value = 0;
-    if (ParseSizeFlag(arg, "--port=", &port_value)) {
-      if (port_value > 65535) return Usage();
-      args.port = static_cast<uint16_t>(port_value);
+    bool valid = true;
+    if (ParseNumericFlag(arg, "--port=", &args.port, &valid) ||
+        ParseNumericFlag(arg, "--rows=", &args.rows, &valid) ||
+        ParseNumericFlag(arg, "--workers=", &args.workers, &valid) ||
+        ParseNumericFlag(arg, "--memory-budget=", &args.memory_budget,
+                         &valid) ||
+        ParseNumericFlag(arg, "--dataset-workers=", &args.dataset_workers,
+                         &valid) ||
+        ParseNumericFlag(arg, "--max-append-rows=", &args.max_append_rows,
+                         &valid) ||
+        ParseNumericFlag(arg, "--queue-capacity=", &args.queue_capacity,
+                         &valid) ||
+        ParseNumericFlag(arg, "--idle-timeout-ms=", &args.idle_timeout_ms,
+                         &valid)) {
+      if (!valid) return Usage();
     } else if (arg.rfind("--port-file=", 0) == 0) {
       args.port_file = arg.substr(12);
     } else if (arg.rfind("--csv=", 0) == 0) {
       args.csv_path = arg.substr(6);
     } else if (arg.rfind("--datasets=", 0) == 0) {
       args.datasets_dir = arg.substr(11);
-    } else if (ParseSizeFlag(arg, "--rows=", &args.rows) ||
-               ParseSizeFlag(arg, "--workers=", &args.workers) ||
-               ParseSizeFlag(arg, "--memory-budget=", &args.memory_budget) ||
-               ParseSizeFlag(arg, "--dataset-workers=",
-                             &args.dataset_workers) ||
-               ParseSizeFlag(arg, "--max-append-rows=",
-                             &args.max_append_rows) ||
-               ParseSizeFlag(arg, "--queue-capacity=",
-                             &args.queue_capacity)) {
-    } else if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      args.idle_timeout_ms = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 18, nullptr, 10));
-    } else if (arg == "--appendable") {
-      args.appendable = true;
     } else if (arg == "--no-profile") {
       args.build_profile = false;
     } else if (arg == "--smoke") {
@@ -281,14 +286,6 @@ int Main(int argc, char** argv) {
   server_options.idle_timeout_ms = args.idle_timeout_ms;
   server_options.registry = registry.get();
   server_options.max_append_rows = args.max_append_rows;
-  // Outlives the server (declared before it): orders /v1/append against
-  // query execution on the default dataset.
-  SharedMutex append_mutex;
-  if (args.appendable) {
-    server_options.appendable.table = &table;
-    server_options.appendable.engine = &*engine;
-    server_options.appendable.mutex = &append_mutex;
-  }
   HttpServer server(session, server_options);
   Status started = server.Start();
   if (!started.ok()) {
@@ -312,8 +309,7 @@ int Main(int argc, char** argv) {
   }
 
   if (args.smoke) {
-    const int rc = Smoke(server.port(), registry.get(),
-                         args.appendable ? &table : nullptr);
+    const int rc = Smoke(server.port(), registry.get());
     server.Stop();
     return rc;
   }

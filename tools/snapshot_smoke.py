@@ -11,8 +11,9 @@ section promises, against real binaries and a real socket:
   3. `foresight_snapshot verify --rebuild` — the restored profile must be
      byte-identical to a fresh re-preprocess of the same CSV.
   4. `foresight_serve --datasets=DIR --smoke` — the server must list the
-     dataset at /v1/datasets and answer a dataset-routed /v1/query whose
-     profile came from the snapshot.
+     dataset at /v1/datasets, answer a dataset-routed /v1/query whose
+     profile came from the snapshot, append a row to the dataset via
+     /v1/append, and answer the query again.
 
 Usage:
   snapshot_smoke.py --snapshot-binary PATH --serve-binary PATH
@@ -76,6 +77,9 @@ def main():
                                   "--datasets=" + work])
         if "smoke ok (dataset demo)" not in serve_out:
             print("[serve] FAILED: dataset-routed query did not run")
+            return 1
+        if "smoke append ok" not in serve_out:
+            print("[serve] FAILED: dataset-routed append did not run")
             return 1
 
     print("snapshot smoke: all stages passed")

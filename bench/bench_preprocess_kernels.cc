@@ -1,24 +1,23 @@
-// Panel-cached, blocked sketch-ingestion kernels vs the row-at-a-time
-// reference path.
+// Panel-blocked sketch ingestion: worker sweep.
 //
-// The row-at-a-time path regenerates every row's random hyperplane and
-// projection components inside each worker block — redundant work that grows
-// with worker count and made preprocessing scale NEGATIVELY. The panel-blocked
-// path materializes those components once per row block in a RandomPanelCache
-// shared by all columns and partitions, and consumes them through dense
-// blocked kernels. Both paths are bit-identical by construction; this bench
-// enforces that (serialized-profile fingerprints) and measures the speedup:
-//   1. serial: row_at_a_time vs panel_blocked on the 30k x 64 workload;
-//   2. panel block-size sweep (serial);
-//   3. worker sweep 1/2/4/8 for both modes.
+// Preprocessing materializes every row's random hyperplane and projection
+// components once per row block in a RandomPanelCache shared by all columns
+// and partitions, and consumes them through dense blocked kernels. This bench
+// times Preprocessor::Profile at 1/2/4/8 workers and enforces that every run
+// serializes to the same profile (the per-row reference it must match lives
+// in tests/test_kernel_equivalence.cc; EXPERIMENTS A4 keeps the recorded
+// row-at-a-time timings this path replaced).
 // Results are printed AND written to BENCH_preprocess_kernels.json.
 //
-// --smoke: small table, one equivalence pass (< 5 s), no JSON — for CI.
+// --smoke: small table, profile identity across worker counts (< 5 s), no
+// JSON — for CI.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/profile.h"
@@ -36,7 +35,7 @@ constexpr size_t kRows = 30000;
 constexpr size_t kNumericCols = 64;
 constexpr size_t kCategoricalCols = 8;
 constexpr uint64_t kSeed = 7;
-constexpr int kReps = 3;  // Timed repetitions; best rep is reported.
+constexpr int kReps = 5;  // Timed repetitions; min and median are reported.
 
 std::string ProfileFingerprint(const TableProfile& profile) {
   JsonValue json = profile.ToJson();
@@ -45,61 +44,60 @@ std::string ProfileFingerprint(const TableProfile& profile) {
 }
 
 struct RunResult {
-  std::string mode;
   size_t workers = 1;
-  size_t block_rows = 0;  // 0 = mode default / not applicable.
-  double seconds = 0.0;
-  std::string fingerprint;
+  double min_seconds = 0.0;
+  double median_seconds = 0.0;
+  std::string fingerprint;  // Empty when profiling failed.
 };
 
-RunResult RunOnce(const DataTable& table, IngestMode mode, size_t workers,
-                  size_t block_rows, int reps) {
+RunResult RunWorkers(const DataTable& table, size_t workers, int reps) {
   RunResult result;
-  result.mode =
-      mode == IngestMode::kPanelBlocked ? "panel_blocked" : "row_at_a_time";
   result.workers = workers;
-  result.block_rows = block_rows;
-  result.seconds = 1e100;
   ThreadPool pool(workers);
   ThreadPool* pool_ptr = workers > 1 ? &pool : nullptr;
-  PreprocessOptions options;
-  options.ingest = mode;
-  options.panel_block_rows = block_rows;
+  std::vector<double> seconds;
   for (int rep = 0; rep < reps; ++rep) {
     WallTimer timer;
-    auto profile = Preprocessor::Profile(table, options, pool_ptr);
+    auto profile = Preprocessor::Profile(table, {}, pool_ptr);
     double elapsed = timer.ElapsedSeconds();
     if (!profile.ok()) {
       std::fprintf(stderr, "profile failed: %s\n",
                    profile.status().ToString().c_str());
+      result.fingerprint.clear();
       return result;
     }
-    result.seconds = std::min(result.seconds, elapsed);
+    seconds.push_back(elapsed);
     result.fingerprint = ProfileFingerprint(*profile);
   }
+  std::sort(seconds.begin(), seconds.end());
+  result.min_seconds = seconds.front();
+  result.median_seconds = seconds[seconds.size() / 2];
   return result;
 }
 
-int RunSmoke() {
-  std::printf("bench_preprocess_kernels --smoke: equivalence only\n");
-  DataTable table = MakeBenchmarkTable(3000, 12, 3, kSeed);
-  RunResult reference =
-      RunOnce(table, IngestMode::kRowAtATime, 1, 0, /*reps=*/1);
-  bool ok = !reference.fingerprint.empty();
-  for (size_t workers : {size_t{1}, size_t{3}}) {
-    for (size_t block_rows : {size_t{0}, size_t{64}, size_t{3000}}) {
-      RunResult run = RunOnce(table, IngestMode::kPanelBlocked, workers,
-                              block_rows, /*reps=*/1);
-      if (run.fingerprint != reference.fingerprint) {
-        ok = false;
-        std::printf(
-            "EQUIVALENCE FAILURE: panel_blocked (workers=%zu, "
-            "block_rows=%zu) differs from row_at_a_time\n",
-            workers, block_rows);
-      }
+/// True when every run produced a profile and all profiles are identical to
+/// the first run's; prints each mismatch.
+bool AllIdentical(const std::vector<RunResult>& runs) {
+  bool ok = !runs.empty() && !runs.front().fingerprint.empty();
+  for (const RunResult& run : runs) {
+    if (run.fingerprint != runs.front().fingerprint) {
+      ok = false;
+      std::printf("EQUIVALENCE FAILURE: workers=%zu differs from workers=%zu\n",
+                  run.workers, runs.front().workers);
     }
   }
-  std::printf("panel-blocked profiles bit-identical to row-at-a-time: %s\n",
+  return ok;
+}
+
+int RunSmoke() {
+  std::printf("bench_preprocess_kernels --smoke: worker-count identity only\n");
+  DataTable table = MakeBenchmarkTable(3000, 12, 3, kSeed);
+  std::vector<RunResult> runs;
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}}) {
+    runs.push_back(RunWorkers(table, workers, /*reps=*/1));
+  }
+  bool ok = AllIdentical(runs);
+  std::printf("profiles bit-identical across 1/2/3 workers: %s\n",
               ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }
@@ -111,7 +109,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
   }
 
-  std::printf("Preprocessing ingestion kernels: panel-blocked vs row-at-a-time\n");
+  std::printf("Preprocessing ingestion (panel-blocked): worker sweep\n");
   std::printf("workload: %zu rows x (%zu numeric + %zu categorical) columns\n",
               kRows, kNumericCols, kCategoricalCols);
   std::printf("hardware_concurrency: %u (%s)\n\n",
@@ -120,49 +118,15 @@ int main(int argc, char** argv) {
       MakeBenchmarkTable(kRows, kNumericCols, kCategoricalCols, kSeed);
 
   std::vector<RunResult> runs;
-  auto record = [&](RunResult run) {
-    std::printf("%-14s | workers %zu | block_rows %5zu | %.3f s\n",
-                run.mode.c_str(), run.workers,
-                run.block_rows == 0 ? 256 : run.block_rows, run.seconds);
-    runs.push_back(std::move(run));
-    return runs.back().seconds;
-  };
-
-  // 1. Serial head-to-head (the headline number).
-  double serial_reference =
-      record(RunOnce(table, IngestMode::kRowAtATime, 1, 0, kReps));
-  double serial_blocked =
-      record(RunOnce(table, IngestMode::kPanelBlocked, 1, 0, kReps));
-
-  // 2. Panel block-size sweep, serial (the default is 256).
-  for (size_t block_rows : {size_t{1024}, size_t{4096}, kRows}) {
-    record(RunOnce(table, IngestMode::kPanelBlocked, 1, block_rows, kReps));
-  }
-
-  // 3. Worker sweep, both modes.
-  for (size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     WarnIfOversubscribed(workers);
-    record(RunOnce(table, IngestMode::kRowAtATime, workers, 0, kReps));
-    record(RunOnce(table, IngestMode::kPanelBlocked, workers, 0, kReps));
+    runs.push_back(RunWorkers(table, workers, kReps));
+    const RunResult& run = runs.back();
+    std::printf("workers %zu | min %.3f s | median %.3f s\n", run.workers,
+                run.min_seconds, run.median_seconds);
   }
-
-  const std::string& reference_fingerprint = runs.front().fingerprint;
-  bool equivalent = true;
-  for (const RunResult& run : runs) {
-    if (run.fingerprint != reference_fingerprint) {
-      equivalent = false;
-      std::printf("EQUIVALENCE FAILURE: %s workers=%zu block_rows=%zu\n",
-                  run.mode.c_str(), run.workers, run.block_rows);
-    }
-  }
-
-  double speedup =
-      serial_blocked > 0.0 ? serial_reference / serial_blocked : 0.0;
-  std::printf(
-      "\nserial speedup, panel_blocked vs row_at_a_time: %.2fx (target >= "
-      "3x)\n",
-      speedup);
-  std::printf("all profiles bit-identical to row-at-a-time serial: %s\n",
+  bool equivalent = AllIdentical(runs);
+  std::printf("all profiles bit-identical to the 1-worker profile: %s\n",
               equivalent ? "yes" : "NO");
 
   JsonValue doc = JsonValue::Object();
@@ -173,23 +137,17 @@ int main(int argc, char** argv) {
   workload.Set("numeric_cols", kNumericCols);
   workload.Set("categorical_cols", kCategoricalCols);
   workload.Set("seed", kSeed);
+  workload.Set("reps", kReps);
   doc.Set("workload", std::move(workload));
   JsonValue results = JsonValue::Array();
   for (const RunResult& run : runs) {
     JsonValue entry = JsonValue::Object();
-    entry.Set("mode", run.mode);
     entry.Set("workers", run.workers);
-    entry.Set("block_rows", run.block_rows);
-    entry.Set("preprocess_seconds", run.seconds);
+    entry.Set("min_seconds", run.min_seconds);
+    entry.Set("median_seconds", run.median_seconds);
     results.Append(std::move(entry));
   }
   doc.Set("results", std::move(results));
-  JsonValue summary = JsonValue::Object();
-  summary.Set("serial_row_at_a_time_seconds", serial_reference);
-  summary.Set("serial_panel_blocked_seconds", serial_blocked);
-  summary.Set("serial_speedup", speedup);
-  summary.Set("target", 3.0);
-  doc.Set("summary", std::move(summary));
   doc.Set("bit_identical", equivalent);
 
   std::ofstream out("BENCH_preprocess_kernels.json");

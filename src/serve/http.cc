@@ -106,7 +106,10 @@ ParseResult ParseRequest(std::string_view buffer, const HttpLimits& limits,
   request.target = std::string(target);
   request.path = std::string(target.substr(0, target.find('?')));
 
-  // Header fields.
+  // Header fields. Body framing is Content-Length only: any
+  // Transfer-Encoding field is refused, even an empty one, and a repeated
+  // Content-Length is ambiguous framing (RFC 9112 §6.3).
+  bool has_length = false;
   size_t cursor = line_end + 2;
   while (cursor < header_end) {
     const size_t eol = buffer.find("\r\n", cursor);
@@ -123,18 +126,22 @@ ParseResult ParseRequest(std::string_view buffer, const HttpLimits& limits,
     if (!std::all_of(name.begin(), name.end(), IsTokenChar)) {
       return Error(400, "malformed header name");
     }
-    request.headers.emplace_back(ToLowerAscii(name),
+    std::string key = ToLowerAscii(name);
+    if (key == "transfer-encoding") {
+      return Error(501, "Transfer-Encoding is not supported");
+    }
+    if (key == "content-length") {
+      if (has_length) return Error(400, "repeated Content-Length");
+      has_length = true;
+    }
+    request.headers.emplace_back(std::move(key),
                                  std::string(TrimOws(field.substr(colon + 1))));
   }
 
-  // Body framing: Content-Length only.
-  if (!request.Header("transfer-encoding").empty()) {
-    return Error(501, "Transfer-Encoding is not supported");
-  }
   size_t content_length = 0;
-  const std::string_view length_header = request.Header("content-length");
-  if (!length_header.empty()) {
-    if (length_header.size() > 18 ||
+  if (has_length) {
+    const std::string_view length_header = request.Header("content-length");
+    if (length_header.empty() || length_header.size() > 18 ||
         !std::all_of(length_header.begin(), length_header.end(),
                      [](unsigned char c) { return std::isdigit(c); })) {
       return Error(400, "malformed Content-Length");

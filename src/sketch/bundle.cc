@@ -105,23 +105,33 @@ CategoricalColumnSketch BundleBuilder::MakeCategoricalSketch() const {
 
 void BundleBuilder::AccumulateNumeric(const NumericColumn& column,
                                       size_t row_begin, size_t row_end,
-                                      NumericColumnSketch& sketch,
-                                      IngestScratch* scratch) const {
+                                      NumericColumnSketch& sketch) const {
   FORESIGHT_CHECK(row_end <= column.size());
   // Null rows are skipped entirely: in sketch space this is mean-imputation
   // (a null contributes 0 to the centered dot products).
-  std::vector<double> local_hyperplane;
-  std::vector<double> local_projection;
-  std::vector<double>& hyperplane_row =
-      scratch ? scratch->hyperplane_row : local_hyperplane;
-  std::vector<double>& projection_row =
-      scratch ? scratch->projection_row : local_projection;
+  std::vector<double> hyperplane_row;
+  std::vector<double> projection_row;
+  double* dot = sketch.hyperplane_acc.dot.data();
+  double* ones_dot = sketch.hyperplane_acc.ones_dot.data();
+  std::vector<double>& proj = sketch.projection.mutable_components();
+  std::vector<double>& ones = sketch.projection_ones.mutable_components();
   for (size_t row = row_begin; row < row_end; ++row) {
     if (!column.is_valid(row)) continue;
     hyperplane_sketcher_.GenerateRowHyperplanes(row, hyperplane_row);
     projection_sketcher_.GenerateRowComponents(row, projection_row);
-    AccumulateRowValue(column.value(row), hyperplane_row, projection_row,
-                       sketch);
+    const double value = column.value(row);
+    sketch.moments.Add(value);
+    sketch.quantiles.Update(value);
+    sketch.sample.Add(value);
+    for (size_t i = 0; i < hyperplane_bits_; ++i) {
+      dot[i] += value * hyperplane_row[i];
+      ones_dot[i] += hyperplane_row[i];
+    }
+    const double scaled = value * projection_scale_;
+    for (size_t i = 0; i < proj.size(); ++i) {
+      proj[i] += scaled * projection_row[i];
+      ones[i] += projection_scale_ * projection_row[i];
+    }
   }
 }
 
@@ -129,8 +139,7 @@ void BundleBuilder::AccumulateNumericBlocked(const NumericColumn& column,
                                              const RandomPanelBlock& panel,
                                              size_t row_begin, size_t row_end,
                                              NumericColumnSketch& sketch,
-                                             IngestScratch& scratch,
-                                             bool skip_ones) const {
+                                             IngestScratch& scratch) const {
   FORESIGHT_CHECK(row_end <= column.size());
   FORESIGHT_CHECK(row_begin >= panel.row_begin &&
                   row_end <= panel.row_begin + panel.num_rows);
@@ -138,59 +147,35 @@ void BundleBuilder::AccumulateNumericBlocked(const NumericColumn& column,
   FORESIGHT_CHECK(panel.projection_k == config_.projection_dims);
   FORESIGHT_DCHECK(sketch.hyperplane_acc.dot.size() == hyperplane_bits_);
   FORESIGHT_DCHECK(sketch.projection.k() == config_.projection_dims);
-  if (row_begin >= row_end) return;
-  const size_t local_begin = row_begin - panel.row_begin;
-  const double* values = nullptr;
-  const uint32_t* local_rows = nullptr;
-  size_t count = 0;
-  if (column.null_count() == 0) {
-    // Fully-valid fast path: stream the column's raw buffer against the
-    // contiguous panel rows starting at local_begin — no compaction copy.
-    values = column.values().data() + row_begin;
-    count = row_end - row_begin;
-    for (size_t j = 0; j < count; ++j) {
-      const double v = values[j];
-      sketch.moments.Add(v);
-      sketch.quantiles.Update(v);
-      sketch.sample.Add(v);
-    }
-  } else {
-    // Compact the valid rows; value sketches are fed inline so they see
-    // values in the same row order as the row-at-a-time path.
-    scratch.values.clear();
-    scratch.local_rows.clear();
-    for (size_t row = row_begin; row < row_end; ++row) {
-      if (!column.is_valid(row)) continue;
-      const double v = column.value(row);
-      sketch.moments.Add(v);
-      sketch.quantiles.Update(v);
-      sketch.sample.Add(v);
-      scratch.values.push_back(v);
-      scratch.local_rows.push_back(
-          static_cast<uint32_t>(row - panel.row_begin));
-    }
-    if (scratch.values.empty()) return;
-    values = scratch.values.data();
-    local_rows = scratch.local_rows.data();
-    count = scratch.values.size();
+  // Compact the valid rows; value sketches are fed inline so they see
+  // values in row order, as in AccumulateNumeric.
+  scratch.values.clear();
+  scratch.local_rows.clear();
+  for (size_t row = row_begin; row < row_end; ++row) {
+    if (!column.is_valid(row)) continue;
+    const double v = column.value(row);
+    sketch.moments.Add(v);
+    sketch.quantiles.Update(v);
+    sketch.sample.Add(v);
+    scratch.values.push_back(v);
+    scratch.local_rows.push_back(static_cast<uint32_t>(row - panel.row_begin));
   }
-  const double* hp_base =
-      local_rows ? panel.hyperplane.data() : panel.hyperplane_row(local_begin);
-  const double* pj_base =
-      local_rows ? panel.projection.data() : panel.projection_row(local_begin);
-  hyperplane_sketcher_.AccumulateValuesBlock(
-      hp_base, local_rows, values, count, sketch.hyperplane_acc.dot.data());
+  if (scratch.values.empty()) return;
+  const double* values = scratch.values.data();
+  const uint32_t* local_rows = scratch.local_rows.data();
+  const size_t count = scratch.values.size();
+  hyperplane_sketcher_.AccumulateValuesBlock(panel.hyperplane.data(),
+                                             local_rows, values, count,
+                                             sketch.hyperplane_acc.dot.data());
   projection_sketcher_.AccumulateValuesBlock(
-      pj_base, local_rows, values, count, projection_scale_,
+      panel.projection.data(), local_rows, values, count, projection_scale_,
       sketch.projection.mutable_components().data());
-  if (!skip_ones) {
-    hyperplane_sketcher_.AccumulateOnesBlock(
-        hp_base, local_rows, count, 1.0,
-        sketch.hyperplane_acc.ones_dot.data());
-    projection_sketcher_.AccumulateOnesBlock(
-        pj_base, local_rows, count, projection_scale_,
-        sketch.projection_ones.mutable_components().data());
-  }
+  hyperplane_sketcher_.AccumulateOnesBlock(
+      panel.hyperplane.data(), local_rows, count, 1.0,
+      sketch.hyperplane_acc.ones_dot.data());
+  projection_sketcher_.AccumulateOnesBlock(
+      panel.projection.data(), local_rows, count, projection_scale_,
+      sketch.projection_ones.mutable_components().data());
 }
 
 void BundleBuilder::AccumulateNumericBlockedGroup(
@@ -262,37 +247,13 @@ void BundleBuilder::AccumulateSharedOnes(const RandomPanelBlock& panel,
 void BundleBuilder::ApplySharedOnes(const SharedOnes& ones,
                                     NumericColumnSketch& sketch) const {
   // Overwrites: the target's ones accumulators must still be all-zero (the
-  // column was ingested with skip_ones). The copy equals replaying the same
-  // additions from zero, so the result is bit-identical to self-accumulation.
+  // column was ingested by AccumulateNumericBlockedGroup). The copy equals
+  // replaying the same additions from zero, so the result is bit-identical
+  // to self-accumulation.
   FORESIGHT_CHECK(ones.hyperplane_ones.size() == hyperplane_bits_);
   FORESIGHT_CHECK(ones.projection_ones.size() == config_.projection_dims);
   sketch.hyperplane_acc.ones_dot = ones.hyperplane_ones;
   sketch.projection_ones.mutable_components() = ones.projection_ones;
-}
-
-void BundleBuilder::AccumulateRowValue(
-    double value, const std::vector<double>& hyperplane_row,
-    const std::vector<double>& projection_row,
-    NumericColumnSketch& sketch) const {
-  FORESIGHT_DCHECK(hyperplane_row.size() == hyperplane_bits_);
-  FORESIGHT_DCHECK(projection_row.size() == config_.projection_dims);
-  sketch.moments.Add(value);
-  sketch.quantiles.Update(value);
-  sketch.sample.Add(value);
-  double* dot = sketch.hyperplane_acc.dot.data();
-  double* ones_dot = sketch.hyperplane_acc.ones_dot.data();
-  const double* hp = hyperplane_row.data();
-  for (size_t i = 0; i < hyperplane_bits_; ++i) {
-    dot[i] += value * hp[i];
-    ones_dot[i] += hp[i];
-  }
-  double scaled = value * projection_scale_;
-  std::vector<double>& proj = sketch.projection.mutable_components();
-  std::vector<double>& ones = sketch.projection_ones.mutable_components();
-  for (size_t i = 0; i < proj.size(); ++i) {
-    proj[i] += scaled * projection_row[i];
-    ones[i] += projection_scale_ * projection_row[i];
-  }
 }
 
 void BundleBuilder::FinalizeNumeric(NumericColumnSketch& sketch) const {

@@ -89,8 +89,6 @@ struct CategoricalColumnSketch {
 struct IngestScratch {
   std::vector<double> values;       ///< Compacted valid values of one block.
   std::vector<uint32_t> local_rows; ///< Panel-local rows of those values.
-  std::vector<double> hyperplane_row;
-  std::vector<double> projection_row;
 };
 
 /// Ones-side accumulators shared across fully-valid columns: ones_dot and
@@ -123,32 +121,30 @@ class BundleBuilder {
   /// Folds rows [row_offset, ...) of a column into a sketch. Null rows are
   /// skipped for value sketches but still advance the absolute row index, so
   /// hyperplane/projection components stay row-aligned across columns.
-  /// `scratch` (optional) supplies reusable row buffers so repeated calls
-  /// don't reallocate.
+  /// Regenerates each row's random components: the simple per-row form that
+  /// the panel-blocked kernels below must match bit for bit.
   void AccumulateNumeric(const NumericColumn& column, size_t row_begin,
-                         size_t row_end, NumericColumnSketch& sketch,
-                         IngestScratch* scratch = nullptr) const;
+                         size_t row_end, NumericColumnSketch& sketch) const;
 
   /// Panel-blocked ingestion of rows [row_begin, row_end), which must lie
-  /// inside `panel`'s row range. Bit-identical to AccumulateNumeric over the
-  /// same rows: value sketches see values in row order and every dot/ones
-  /// accumulator receives one addition per valid row in ascending row order.
-  /// With `skip_ones` true the ones-side accumulators are left untouched —
-  /// only valid for columns with zero nulls, where the caller applies a
-  /// SharedOnes partition total instead (see AccumulateSharedOnes).
+  /// inside `panel`'s row range — the path for columns with nulls. Valid
+  /// rows are compacted into `scratch`; the result is bit-identical to
+  /// AccumulateNumeric over the same rows: value sketches see values in row
+  /// order and every dot/ones accumulator receives one addition per valid
+  /// row in ascending row order.
   void AccumulateNumericBlocked(const NumericColumn& column,
                                 const RandomPanelBlock& panel,
                                 size_t row_begin, size_t row_end,
                                 NumericColumnSketch& sketch,
-                                IngestScratch& scratch,
-                                bool skip_ones = false) const;
+                                IngestScratch& scratch) const;
 
   /// Panel-blocked ingestion for a group of fully-valid (zero-null) columns
-  /// over one panel span. Equivalent to AccumulateNumericBlocked with
-  /// skip_ones=true per column — value sketches are fed per column in row
-  /// order and each accumulator receives the identical addition sequence —
-  /// but the dense kernels sweep each panel slab once per group of four
-  /// columns instead of once per column, keeping it hot in L1.
+  /// over one panel span. Value sketches are fed per column in row order and
+  /// each dot accumulator receives the same addition sequence as
+  /// AccumulateNumeric, but the dense kernels sweep each panel slab once per
+  /// group of four columns instead of once per column, keeping it hot in L1.
+  /// The ones-side accumulators are left untouched: the caller installs a
+  /// SharedOnes partition total instead (see AccumulateSharedOnes).
   void AccumulateNumericBlockedGroup(const NumericColumn* const* columns,
                                      NumericColumnSketch* const* sketches,
                                      size_t num_columns,
@@ -166,14 +162,6 @@ class BundleBuilder {
   void ApplySharedOnes(const SharedOnes& ones,
                        NumericColumnSketch& sketch) const;
 
-  /// Row-major fast path: folds one value into a sketch given this row's
-  /// pre-generated hyperplane and projection components. Generating each
-  /// row's random components ONCE and applying them to every column is what
-  /// makes whole-table preprocessing a single O(|B| * n * k) pass (§3)
-  /// instead of regenerating the components |B| times.
-  void AccumulateRowValue(double value, const std::vector<double>& hyperplane_row,
-                          const std::vector<double>& projection_row,
-                          NumericColumnSketch& sketch) const;
   void AccumulateCategorical(const CategoricalColumn& column, size_t row_begin,
                              size_t row_end,
                              CategoricalColumnSketch& sketch) const;

@@ -88,7 +88,7 @@ void ProjectionSketcher::AccumulateValuesBlock(const double* panel,
                                                size_t count, double scale,
                                                double* components) const {
   // The shared kernel rounds the scaled value once per row before the inner
-  // loop, exactly as AccumulateRowValue does.
+  // loop, exactly as BundleBuilder::AccumulateNumeric does.
   if (local_rows == nullptr) {
     ingest_kernels::DenseValuesAxpy(panel, values, count, k_, scale,
                                     components);

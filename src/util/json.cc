@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -71,6 +72,44 @@ const JsonValue* JsonValue::Get(std::string_view key) const {
     if (existing_key == key) return &value;
   }
   return nullptr;
+}
+
+StatusOr<JsonValue> JsonValue::ObjectFromMembers(
+    std::vector<std::pair<std::string, JsonValue>> members) {
+  // Small objects compare pairwise (no allocation, the compares Set made);
+  // larger ones sort key pointers so a hostile many-key body stays cheap.
+  constexpr size_t kPairwiseLimit = 16;
+  const std::string* duplicate = nullptr;
+  if (members.size() <= kPairwiseLimit) {
+    for (size_t i = 1; i < members.size() && duplicate == nullptr; ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (members[i].first == members[j].first) {
+          duplicate = &members[i].first;
+          break;
+        }
+      }
+    }
+  } else {
+    std::vector<const std::string*> keys;
+    keys.reserve(members.size());
+    for (const auto& member : members) keys.push_back(&member.first);
+    auto less = [](const std::string* a, const std::string* b) {
+      return *a < *b;
+    };
+    auto equal = [](const std::string* a, const std::string* b) {
+      return *a == *b;
+    };
+    std::sort(keys.begin(), keys.end(), less);
+    auto it = std::adjacent_find(keys.begin(), keys.end(), equal);
+    if (it != keys.end()) duplicate = *it;
+  }
+  if (duplicate != nullptr) {
+    return Status::InvalidArgument("duplicate object key '" + *duplicate +
+                                   "'");
+  }
+  JsonValue object = Object();
+  object.object_ = std::move(members);
+  return object;
 }
 
 bool JsonValue::Remove(std::string_view key) {
@@ -298,9 +337,9 @@ class JsonParser {
 
   StatusOr<JsonValue> ParseObject(int depth) {
     Consume('{');
-    JsonValue obj = JsonValue::Object();
+    std::vector<std::pair<std::string, JsonValue>> members;
     SkipWhitespace();
-    if (Consume('}')) return obj;
+    if (Consume('}')) return JsonValue::Object();
     for (;;) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
@@ -311,9 +350,11 @@ class JsonParser {
       if (!Consume(':')) return Error("expected ':' after object key");
       SkipWhitespace();
       FORESIGHT_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      obj.Set(std::move(key), std::move(value));
+      members.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
-      if (Consume('}')) return obj;
+      if (Consume('}')) {
+        return JsonValue::ObjectFromMembers(std::move(members));
+      }
       if (!Consume(',')) return Error("expected ',' or '}' in object");
     }
   }

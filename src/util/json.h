@@ -51,6 +51,11 @@ class JsonValue {
     v.type_ = Type::kObject;
     return v;
   }
+  /// An object holding `members` in order, without Set's per-key scan, so
+  /// decoders stay O(n log n) in the member count. InvalidArgument naming
+  /// the key when two members share one.
+  static StatusOr<JsonValue> ObjectFromMembers(
+      std::vector<std::pair<std::string, JsonValue>> members);
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }

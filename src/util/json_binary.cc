@@ -221,17 +221,13 @@ class Decoder {
           return Status::InvalidArgument(
               "binary json: object count exceeds remaining bytes");
         }
-        JsonValue object = JsonValue::Object();
+        std::vector<std::pair<std::string, JsonValue>> members;
         for (uint64_t i = 0; i < count; ++i) {
           FORESIGHT_ASSIGN_OR_RETURN(std::string key, ReadString());
-          if (object.Has(key)) {
-            return Status::InvalidArgument("binary json: duplicate key '" +
-                                           key + "'");
-          }
           FORESIGHT_ASSIGN_OR_RETURN(JsonValue member, DecodeValue(depth + 1));
-          object.Set(std::move(key), std::move(member));
+          members.emplace_back(std::move(key), std::move(member));
         }
-        return object;
+        return JsonValue::ObjectFromMembers(std::move(members));
       }
       default:
         return Status::InvalidArgument("binary json: unknown tag " +

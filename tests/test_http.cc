@@ -113,15 +113,32 @@ TEST(HttpParser, RejectsOversizedBody) {
 }
 
 TEST(HttpParser, RejectsMalformedContentLength) {
-  HttpRequest request;
-  ParseResult result = Parse(
-      "POST / HTTP/1.1\r\nContent-Length: 4x\r\n\r\n", &request);
-  ASSERT_EQ(result.state, ParseState::kError);
-  EXPECT_EQ(result.error_status, 400);
-
-  result = Parse("POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", &request);
-  ASSERT_EQ(result.state, ParseState::kError);
-  EXPECT_EQ(result.error_status, 400);
+  struct Case {
+    const char* raw;
+    int status;
+  };
+  const Case cases[] = {
+      {"POST / HTTP/1.1\r\nContent-Length: 4x\r\n\r\n", 400},
+      {"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400},
+      {"POST / HTTP/1.1\r\nContent-Length:\r\n\r\n", 400},
+      // Conflicting framing: the first value must not silently win.
+      {"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n"
+       "\r\nabcd",
+       400},
+      {"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n"
+       "\r\nabcd",
+       400},
+      // Any Transfer-Encoding field is refused, even an empty one.
+      {"POST / HTTP/1.1\r\nTransfer-Encoding:\r\nContent-Length: 4\r\n"
+       "\r\nabcd",
+       501},
+  };
+  for (const Case& c : cases) {
+    HttpRequest request;
+    ParseResult result = Parse(c.raw, &request);
+    ASSERT_EQ(result.state, ParseState::kError) << c.raw;
+    EXPECT_EQ(result.error_status, c.status) << c.raw;
+  }
 }
 
 TEST(HttpParser, RejectsTransferEncoding) {

@@ -2,6 +2,9 @@
 
 #include <cmath>
 
+#include <chrono>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace foresight {
@@ -139,6 +142,43 @@ TEST(JsonParseTest, RejectsOverflowingNumbers) {
   EXPECT_TRUE(JsonValue::Parse("-1.7976931348623157e308").ok());
   // Underflow collapses to zero rather than erroring.
   EXPECT_TRUE(JsonValue::Parse("1e-999").ok());
+}
+
+TEST(JsonParseTest, RejectsDuplicateKeys) {
+  // Top level, nested, and past the pairwise-compare size (sorted check).
+  std::string many = "{";
+  for (int i = 0; i < 40; ++i) many += "\"k" + std::to_string(i) + "\":1,";
+  many += "\"k7\":2}";
+  for (const std::string& text :
+       {std::string("{\"class\":\"skew\",\"class\":\"nope\"}"),
+        std::string("{\"a\":[{\"b\":1,\"c\":2,\"b\":3}]}"), many}) {
+    auto result = JsonValue::Parse(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // Distinct keys that share prefixes and lengths are not duplicates.
+  EXPECT_TRUE(JsonValue::Parse("{\"ab\":1,\"ba\":2,\"a\":3,\"b\":4}").ok());
+}
+
+TEST(JsonParseTest, ManyKeyObjectParsesQuickly) {
+  // A ~1 MB body of distinct keys: quadratic key scanning took tens of
+  // seconds here; the bound is generous for sanitizer builds.
+  constexpr int kKeys = 100000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ',';
+    text += "\"key" + std::to_string(i) + "\":0";
+  }
+  text += '}';
+  auto start = std::chrono::steady_clock::now();
+  auto result = JsonValue::Parse(text);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->size(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(result->items().back().first, "key99999");
+  EXPECT_LT(seconds, 10.0);
 }
 
 TEST(JsonParseTest, ErrorsCarryParseErrorCode) {

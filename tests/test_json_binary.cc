@@ -5,11 +5,14 @@
 // an attacker-sized allocation.
 #include "util/json_binary.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -145,7 +148,37 @@ TEST(JsonBinaryTest, RejectsDuplicateObjectKeys) {
   doubled.push_back(0x02);
   doubled += entry;
   doubled += entry;
-  EXPECT_FALSE(JsonBinaryDecode(doubled).ok());
+  auto top = JsonBinaryDecode(doubled);
+  ASSERT_FALSE(top.ok());
+  EXPECT_EQ(top.status().code(), StatusCode::kInvalidArgument);
+  // Nested: {"outer": <the doubled object>}.
+  std::string nested = {0x06, 0x01, 0x05};
+  nested += "outer";
+  nested += doubled;
+  auto inner = JsonBinaryDecode(nested);
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JsonBinaryTest, ManyKeyObjectDecodesQuickly) {
+  // Quadratic duplicate-key scanning would take tens of seconds here; the
+  // bound is generous for sanitizer builds.
+  constexpr int kKeys = 100000;
+  std::vector<std::pair<std::string, JsonValue>> members;
+  for (int i = 0; i < kKeys; ++i) {
+    members.emplace_back("key" + std::to_string(i), JsonValue(0.0));
+  }
+  auto object = JsonValue::ObjectFromMembers(std::move(members));
+  ASSERT_TRUE(object.ok()) << object.status();
+  const std::string bytes = Encode(*object);
+  auto start = std::chrono::steady_clock::now();
+  auto decoded = JsonBinaryDecode(bytes);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->size(), static_cast<size_t>(kKeys));
+  EXPECT_LT(seconds, 10.0);
 }
 
 TEST(JsonBinaryTest, RejectsDepthBombs) {

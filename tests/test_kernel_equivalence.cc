@@ -1,10 +1,14 @@
-// Panel-blocked ingestion must be BIT-IDENTICAL to the row-at-a-time
-// reference path: same serialized profile, byte for byte, across panel block
-// sizes (including 1, a non-divisor, and one spanning the whole table),
-// partition counts, and worker counts — with null patterns that exercise the
-// compaction path (scattered nulls, all-null, trailing nulls into a partial
-// block). Plus RandomPanelCache unit behavior: content, generate-once under
-// contention, and planned-use freeing.
+// Panel-blocked ingestion, the only production path, must be BIT-IDENTICAL
+// to a per-row reference built here from BundleBuilder::AccumulateNumeric:
+// each partition's rows are sketched one row at a time, the partials merge
+// in partition order, and the finalized sketch must serialize to the same
+// bytes as the profile's. Table sizes and partition layouts reach multi-block
+// panels (256-row blocks), a 1-row tail block (513 rows), empty partitions,
+// and partition cuts inside and at block edges; null patterns exercise the
+// compaction path (scattered nulls, all-null, a null tail, a null run inside
+// one block) next to a group of fully-valid columns. Whole profiles must also
+// be identical across worker counts. Plus RandomPanelCache unit behavior:
+// content, generate-once under contention, and planned-use freeing.
 
 #include <cmath>
 #include <memory>
@@ -15,56 +19,64 @@
 
 #include "core/profile.h"
 #include "data/table.h"
+#include "sketch/bundle.h"
 #include "sketch/panel_cache.h"
+#include "sketch/serialize.h"
 #include "util/thread_pool.h"
 
 namespace foresight {
 namespace {
 
-constexpr size_t kRows = 137;  // Prime: every block size leaves a tail.
-
-DataTable MakeNullPatternTable() {
+DataTable MakeNullPatternTable(size_t rows) {
   DataTable table;
-  std::vector<double> dense_a(kRows), dense_b(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    double x = static_cast<double>(i);
-    dense_a[i] = 0.25 * x - 3.0;
-    dense_b[i] = 100.0 - x * x * 0.01;
+  // Five fully-valid columns: one group of four plus a group of one in the
+  // blocked kernels, and the shared ones-side accumulation.
+  for (size_t c = 0; c < 4; ++c) {
+    std::vector<double> dense(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      double x = static_cast<double>(i);
+      dense[i] = c % 2 == 0 ? 0.25 * x - 3.0 * static_cast<double>(c)
+                            : 100.0 - x * x * 0.01 * static_cast<double>(c);
+    }
+    EXPECT_TRUE(
+        table.AddNumericColumn("dense_" + std::to_string(c), dense).ok());
   }
-  EXPECT_TRUE(table.AddNumericColumn("dense_a", dense_a).ok());
-  EXPECT_TRUE(table.AddNumericColumn("dense_b", dense_b).ok());
   EXPECT_TRUE(
-      table.AddNumericColumn("constant", std::vector<double>(kRows, 3.25))
+      table.AddNumericColumn("constant", std::vector<double>(rows, 3.25))
           .ok());
 
   auto sparse = std::make_unique<NumericColumn>();
-  for (size_t i = 0; i < kRows; ++i) {
+  auto all_null = std::make_unique<NumericColumn>();
+  auto null_tail = std::make_unique<NumericColumn>();
+  auto null_run = std::make_unique<NumericColumn>();
+  size_t tail_begin = rows - rows / 4;
+  size_t run_begin = rows / 3;
+  for (size_t i = 0; i < rows; ++i) {
+    double x = static_cast<double>(i);
     if (i % 5 == 0) {
       sparse->AppendNull();
     } else {
       sparse->Append(static_cast<double>(i % 11) - 5.0);
     }
-  }
-  EXPECT_TRUE(table.AddColumn("sparse", std::move(sparse)).ok());
-
-  auto all_null = std::make_unique<NumericColumn>();
-  for (size_t i = 0; i < kRows; ++i) all_null->AppendNull();
-  EXPECT_TRUE(table.AddColumn("all_null", std::move(all_null)).ok());
-
-  // Valid head, null tail: the tail falls into the final partial panel
-  // block for every tested block size.
-  auto head_only = std::make_unique<NumericColumn>();
-  for (size_t i = 0; i < kRows; ++i) {
-    if (i < 100) {
-      head_only->Append(std::sin(static_cast<double>(i)) * 10.0);
+    all_null->AppendNull();
+    if (i < tail_begin) {
+      null_tail->Append(std::sin(x) * 10.0);
     } else {
-      head_only->AppendNull();
+      null_tail->AppendNull();
+    }
+    if (i >= run_begin && i < run_begin + 40) {
+      null_run->AppendNull();
+    } else {
+      null_run->Append(std::cos(x) + 0.5 * x);
     }
   }
-  EXPECT_TRUE(table.AddColumn("head_only", std::move(head_only)).ok());
+  EXPECT_TRUE(table.AddColumn("sparse", std::move(sparse)).ok());
+  EXPECT_TRUE(table.AddColumn("all_null", std::move(all_null)).ok());
+  EXPECT_TRUE(table.AddColumn("null_tail", std::move(null_tail)).ok());
+  EXPECT_TRUE(table.AddColumn("null_run", std::move(null_run)).ok());
 
-  std::vector<std::string> labels(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
+  std::vector<std::string> labels(rows);
+  for (size_t i = 0; i < rows; ++i) {
     labels[i] = "bucket_" + std::to_string(i % 7);
   }
   EXPECT_TRUE(table.AddCategoricalColumn("cat", labels).ok());
@@ -77,57 +89,101 @@ std::string ComparableProfileJson(const TableProfile& profile) {
   return json.Dump();
 }
 
-TEST(KernelEquivalence, BlockedMatchesRowAtATimeAcrossBlockSizesAndPartitions) {
-  DataTable table = MakeNullPatternTable();
+/// The per-row reference for one numeric column: every partition (ascending
+/// row end-offsets in `boundaries`) sketched by AccumulateNumeric, partials
+/// merged in partition order, then finalized. A single partition accumulates
+/// straight into the result, as Preprocessor::Profile does.
+std::string ReferenceNumericSketchJson(const DataTable& table, size_t column,
+                                       const SketchConfig& config,
+                                       const std::vector<size_t>& boundaries) {
+  BundleBuilder builder(config, table.num_rows());
+  const NumericColumn& values = table.column(column).AsNumeric();
+  NumericColumnSketch sketch = builder.MakeNumericSketch();
+  if (boundaries.size() == 1) {
+    builder.AccumulateNumeric(values, 0, boundaries[0], sketch);
+  } else {
+    size_t begin = 0;
+    for (size_t end : boundaries) {
+      NumericColumnSketch partial = builder.MakeNumericSketch();
+      builder.AccumulateNumeric(values, begin, end, partial);
+      sketch.Merge(partial);
+      begin = end;
+    }
+  }
+  builder.FinalizeNumeric(sketch);
+  return NumericSketchToJson(sketch).Dump();
+}
+
+struct Layout {
+  size_t rows;
+  std::vector<size_t> boundaries;
+  size_t num_partitions = 0;  ///< When set, cuts at n * p / num_partitions.
+};
+
+TEST(KernelEquivalence, BlockedMatchesPerRowReference) {
+  const std::vector<Layout> layouts = {
+      {137, {137}},                  // One partial panel block.
+      {137, {45, 91, 137}},          // Cuts inside one block.
+      {513, {513}},                  // Two full blocks + a 1-row tail block.
+      {513, {100, 300, 300, 513}},   // Cuts inside blocks, an empty partition.
+      {513, {256, 512, 513}},        // Cuts at block edges; 1-row partition.
+      {513, {255, 257, 513}},        // A 2-row partition straddling blocks.
+      {513, {0, 513}},               // Leading empty partition.
+      {1000, {1, 999, 1000}},        // 1-row partitions at both ends.
+      {513, {128, 256, 384, 513}, 4},  // num_partitions cutting in blocks.
+  };
   ThreadPool pool(3);
-  for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-    PreprocessOptions reference_options;
-    reference_options.num_partitions = parts;
-    reference_options.ingest = IngestMode::kRowAtATime;
-    auto reference = Preprocessor::Profile(table, reference_options);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    std::string expected = ComparableProfileJson(*reference);
-
-    // The reference path itself must be pool-invariant (it was the pre-panel
-    // production path).
-    auto reference_pooled =
-        Preprocessor::Profile(table, reference_options, &pool);
-    ASSERT_TRUE(reference_pooled.ok()) << reference_pooled.status();
-    EXPECT_EQ(expected, ComparableProfileJson(*reference_pooled))
-        << "row_at_a_time parts=" << parts << " with pool";
-
-    for (size_t block_rows : {size_t{1}, size_t{7}, size_t{64}, kRows}) {
-      PreprocessOptions options;
-      options.num_partitions = parts;
-      options.ingest = IngestMode::kPanelBlocked;
-      options.panel_block_rows = block_rows;
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        auto blocked = Preprocessor::Profile(table, options, p);
-        ASSERT_TRUE(blocked.ok()) << blocked.status();
-        EXPECT_EQ(expected, ComparableProfileJson(*blocked))
-            << "parts=" << parts << " block_rows=" << block_rows
-            << " pool=" << (p != nullptr);
+  for (const Layout& layout : layouts) {
+    DataTable table = MakeNullPatternTable(layout.rows);
+    PreprocessOptions options;
+    if (layout.num_partitions > 0) {
+      options.num_partitions = layout.num_partitions;
+    } else {
+      options.partition_boundaries = layout.boundaries;
+    }
+    std::vector<std::string> expected;
+    for (size_t c : table.NumericColumnIndices()) {
+      expected.push_back(ReferenceNumericSketchJson(table, c, options.sketch,
+                                                    layout.boundaries));
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto profile = Preprocessor::Profile(table, options, p);
+      ASSERT_TRUE(profile.ok()) << profile.status();
+      size_t i = 0;
+      for (size_t c : table.NumericColumnIndices()) {
+        EXPECT_EQ(expected[i++],
+                  NumericSketchToJson(profile->numeric_sketch(c)).Dump())
+            << "rows=" << layout.rows
+            << " partitions=" << layout.boundaries.size() << " column "
+            << table.column_name(c) << " pool=" << (p != nullptr);
       }
     }
   }
 }
 
-TEST(KernelEquivalence, DefaultModeIsPanelBlockedAndMatchesReference) {
-  DataTable table = MakeNullPatternTable();
-  PreprocessOptions defaults;
-  ASSERT_EQ(defaults.ingest, IngestMode::kPanelBlocked);
-  auto blocked = Preprocessor::Profile(table, defaults);
-  ASSERT_TRUE(blocked.ok()) << blocked.status();
-  PreprocessOptions reference_options;
-  reference_options.ingest = IngestMode::kRowAtATime;
-  auto reference = Preprocessor::Profile(table, reference_options);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(ComparableProfileJson(*reference),
-            ComparableProfileJson(*blocked));
+TEST(KernelEquivalence, ProfileIdenticalAcrossWorkerCounts) {
+  for (size_t rows : {size_t{137}, size_t{513}}) {
+    DataTable table = MakeNullPatternTable(rows);
+    for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
+      PreprocessOptions options;
+      options.num_partitions = parts;
+      auto serial = Preprocessor::Profile(table, options);
+      ASSERT_TRUE(serial.ok()) << serial.status();
+      std::string expected = ComparableProfileJson(*serial);
+      for (size_t workers : {size_t{2}, size_t{3}, size_t{4}}) {
+        ThreadPool pool(workers);
+        auto pooled = Preprocessor::Profile(table, options, &pool);
+        ASSERT_TRUE(pooled.ok()) << pooled.status();
+        EXPECT_EQ(expected, ComparableProfileJson(*pooled))
+            << "rows=" << rows << " parts=" << parts
+            << " workers=" << workers;
+      }
+    }
+  }
 }
 
 TEST(KernelEquivalence, CenteredProjectionCacheMatchesComputation) {
-  DataTable table = MakeNullPatternTable();
+  DataTable table = MakeNullPatternTable(137);
   auto profile = Preprocessor::Profile(table, {});
   ASSERT_TRUE(profile.ok()) << profile.status();
   for (size_t c : table.NumericColumnIndices()) {

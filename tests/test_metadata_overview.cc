@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
+#include "core/engine.h"
 #include "data/generators.h"
 #include "viz/charts.h"
 
@@ -70,19 +70,22 @@ TEST_F(MetadataQueryTest, GeneratorsPlantTags) {
 }
 
 TEST_F(MetadataQueryTest, RequiredTagsRestrictTuples) {
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.required_tags = {"currency"};
-  query.top_k = 100;
-  query.mode = ExecutionMode::kExact;
-  auto result = engine_->Execute(query);
-  ASSERT_TRUE(result.ok());
-  // Exactly C(3,2) = 3 currency pairs.
-  EXPECT_EQ(result->candidates_evaluated, 3u);
-  for (const Insight& insight : result->insights) {
-    for (size_t index : insight.attributes.indices) {
-      EXPECT_TRUE(table_->schema().column(index).HasTag("currency"))
-          << insight.Key();
+  for (ExecutionMode mode : {ExecutionMode::kExact, ExecutionMode::kSketch}) {
+    InsightQuery query;
+    query.class_name = "linear_relationship";
+    query.required_tags = {"currency"};
+    query.top_k = 100;
+    query.mode = mode;
+    auto result = engine_->Execute(query);
+    ASSERT_TRUE(result.ok());
+    // Exactly C(3,2) = 3 currency pairs.
+    EXPECT_EQ(result->candidates_evaluated, 3u);
+    EXPECT_EQ(result->insights.size(), 3u);
+    for (const Insight& insight : result->insights) {
+      for (size_t index : insight.attributes.indices) {
+        EXPECT_TRUE(table_->schema().column(index).HasTag("currency"))
+            << insight.Key();
+      }
     }
   }
 }
@@ -110,25 +113,6 @@ TEST_F(MetadataQueryTest, UnknownTagYieldsNoCandidates) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->insights.empty());
   EXPECT_EQ(result->candidates_evaluated, 0u);
-}
-
-TEST_F(MetadataQueryTest, IndexHonorsTagConstraints) {
-  auto index = InsightIndex::Build(*engine_, {"linear_relationship"});
-  ASSERT_TRUE(index.ok());
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.required_tags = {"currency"};
-  query.top_k = 10;
-  query.mode = ExecutionMode::kSketch;
-  auto live = engine_->Execute(query);
-  auto indexed = index->Execute(query);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_EQ(live->insights.size(), indexed->insights.size());
-  ASSERT_EQ(live->insights.size(), 3u);
-  for (size_t i = 0; i < live->insights.size(); ++i) {
-    EXPECT_EQ(live->insights[i].Key(), indexed->insights[i].Key());
-  }
 }
 
 class OverviewTest : public ::testing::Test {

@@ -256,6 +256,15 @@ TEST(ServeTest, ErrorPathsMapStatusCodes) {
   ASSERT_TRUE(unknown_field.ok());
   EXPECT_EQ(unknown_field->status, 400);
 
+  auto duplicate_key = client.Request(
+      "POST", "/v1/query", R"({"class": "skew", "class": "outliers"})");
+  ASSERT_TRUE(duplicate_key.ok());
+  EXPECT_EQ(duplicate_key->status, 400);
+  auto duplicate_body = JsonValue::Parse(duplicate_key->body);
+  ASSERT_TRUE(duplicate_body.ok());
+  EXPECT_EQ(duplicate_body->Get("error")->Get("code")->as_string(),
+            "InvalidArgument");
+
   auto unknown_class =
       client.Request("POST", "/v1/query", R"({"class": "no_such_class"})");
   ASSERT_TRUE(unknown_class.ok());

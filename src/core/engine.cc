@@ -758,14 +758,15 @@ StatusOr<Insight> InsightEngine::EvaluateTuple(const std::string& class_name,
                       resolved_mode);
 }
 
-StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
+StatusOr<ResolvedQuery> InsightEngine::ResolveOverview(
     const std::string& class_name,
     const PairwiseOverviewOptions& options) const {
-  const InsightClass* insight_class = registry_.Find(class_name);
-  if (insight_class == nullptr) {
+  ResolvedQuery resolved;
+  resolved.insight_class = registry_.Find(class_name);
+  if (resolved.insight_class == nullptr) {
     return Status::NotFound("unknown insight class: " + class_name);
   }
-  if (insight_class->arity() != 2) {
+  if (resolved.insight_class->arity() != 2) {
     return Status::InvalidArgument(
         "pairwise overviews require an arity-2 insight class");
   }
@@ -773,11 +774,24 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
   if (!(options.refine_min_score >= 0.0)) {
     return Status::InvalidArgument("refine_min_score must be >= 0");
   }
-  std::string resolved_metric = options.metric.empty()
-                                    ? insight_class->metric_names().front()
-                                    : options.metric;
-  FORESIGHT_ASSIGN_OR_RETURN(ExecutionMode resolved_mode,
-                             ResolveMode(options.mode));
+  resolved.metric = options.metric.empty()
+                        ? resolved.insight_class->metric_names().front()
+                        : options.metric;
+  FORESIGHT_ASSIGN_OR_RETURN(resolved.mode, ResolveMode(options.mode));
+  return resolved;
+}
+
+StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
+    const std::string& class_name,
+    const PairwiseOverviewOptions& options) const {
+  // determinism-ok: overview latency telemetry, gated on collect_metrics
+  WallTimer overview_timer{kDeferredStart};
+  if (metrics_ != nullptr) overview_timer.Restart();
+  FORESIGHT_ASSIGN_OR_RETURN(ResolvedQuery resolved,
+                             ResolveOverview(class_name, options));
+  const InsightClass* insight_class = resolved.insight_class;
+  const std::string& resolved_metric = resolved.metric;
+  const ExecutionMode resolved_mode = resolved.mode;
 
   CorrelationOverview overview;
   overview.class_name = class_name;
@@ -893,6 +907,11 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
     for (size_t j = i + 1; j < d; ++j) {
       overview.matrix[j * d + i] = overview.matrix[i * d + j];
     }
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("engine.overviews_total").Increment();
+    metrics_->histogram("engine.overview_ms")
+        .Record(overview_timer.ElapsedMillis());
   }
   return overview;
 }

@@ -103,8 +103,9 @@ struct CorrelationOverview {
 /// A fully validated, default-resolved insight query: the class pointer, the
 /// concrete metric (class default applied), the kAuto-resolved execution
 /// mode, and fixed-attribute names resolved to column indices. Produced by
-/// InsightEngine::ResolveQuery; the QuerySession serving layer uses it to
-/// build canonical cache keys without re-running validation.
+/// InsightEngine::ResolveQuery (and, with no fixed attributes, by
+/// ResolveOverview); the QuerySession serving layer uses it to build
+/// canonical cache keys without re-running validation.
 struct ResolvedQuery {
   const InsightClass* insight_class = nullptr;
   std::string metric;
@@ -230,6 +231,15 @@ class InsightEngine {
   StatusOr<CorrelationOverview> ComputePairwiseOverview(
       const std::string& class_name,
       const PairwiseOverviewOptions& options = {}) const;
+
+  /// Validates an overview request — a registered arity-2 class and a
+  /// refine_min_score >= 0 (NaN rejected) — and resolves its defaults (class
+  /// default metric, kAuto mode). ComputePairwiseOverview and
+  /// QuerySession::Overview both funnel through this, so they reject
+  /// identical requests with identical errors.
+  StatusOr<ResolvedQuery> ResolveOverview(
+      const std::string& class_name,
+      const PairwiseOverviewOptions& options) const;
 
   /// Whether the sketch-first prune planner may serve eligible exact-mode
   /// pairwise queries. Toggling bumps the serving epoch (results are

@@ -32,6 +32,18 @@ size_t ApproxResultBytes(const InsightQueryResult& result) {
   return bytes;
 }
 
+namespace {
+
+size_t PayloadBytes(const std::shared_ptr<const InsightQueryResult>& result) {
+  return ApproxResultBytes(*result);
+}
+
+size_t PayloadBytes(const std::shared_ptr<const std::string>& body) {
+  return sizeof(std::string) + body->capacity();
+}
+
+}  // namespace
+
 QueryCache::QueryCache(QueryCacheOptions options) {
   size_t num_shards = std::max<size_t>(1, options.num_shards);
   per_shard_bytes_ = std::max<size_t>(1, options.max_bytes / num_shards);
@@ -45,20 +57,27 @@ size_t QueryCache::ShardOf(const std::string& key) const {
   return Fnv1a64(key) % shards_.size();
 }
 
+size_t QueryCache::EntryBytes(const Entry& entry) {
+  return entry.key.capacity() + sizeof(Entry) +
+         std::visit([](const auto& payload) { return PayloadBytes(payload); },
+                    entry.payload);
+}
+
 void QueryCache::EraseEntry(Shard& shard, std::list<Entry>::iterator it) {
   shard.bytes -= it->bytes;
   shard.index.erase(it->key);
   shard.lru.erase(it);
 }
 
-std::optional<InsightQueryResult> QueryCache::Lookup(const std::string& key,
-                                                     uint64_t epoch) {
+template <typename T>
+std::shared_ptr<const T> QueryCache::LookupAs(const std::string& key,
+                                              uint64_t epoch) {
   Shard& shard = *shards_[ShardOf(key)];
   MutexLock lock(shard.mutex);
   auto found = shard.index.find(key);
   if (found == shard.index.end()) {
     ++shard.misses;
-    return std::nullopt;
+    return nullptr;
   }
   if (found->second->epoch != epoch) {
     // The engine (registry, workers, or table tags) changed since this entry
@@ -66,28 +85,43 @@ std::optional<InsightQueryResult> QueryCache::Lookup(const std::string& key,
     EraseEntry(shard, found->second);
     ++shard.invalidations;
     ++shard.misses;
-    return std::nullopt;
+    return nullptr;
+  }
+  const auto* payload =
+      std::get_if<std::shared_ptr<const T>>(&found->second->payload);
+  if (payload == nullptr) {
+    ++shard.misses;
+    return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
   ++shard.hits;
-  return found->second->result;
+  return *payload;
+}
+
+std::shared_ptr<const InsightQueryResult> QueryCache::Lookup(
+    const std::string& key, uint64_t epoch) {
+  return LookupAs<InsightQueryResult>(key, epoch);
+}
+
+std::shared_ptr<const std::string> QueryCache::LookupBody(
+    const std::string& key, uint64_t epoch) {
+  return LookupAs<std::string>(key, epoch);
 }
 
 void QueryCache::Insert(const std::string& key, uint64_t epoch,
-                        const InsightQueryResult& result) {
-  // Build the stored copy first and size THAT: the copied key/result
-  // generally have different capacities than the caller's originals (copies
-  // shrink to fit), and shard.bytes must account for what the shard actually
-  // holds or it drifts from reality on every insert.
-  Entry entry{key, epoch, 0, result};
-  entry.bytes =
-      entry.key.capacity() + sizeof(Entry) + ApproxResultBytes(entry.result);
+                        CachedPayload payload) {
+  // Build the stored entry first and size THAT: the copied key generally
+  // has a different capacity than the caller's original (copies shrink to
+  // fit), and shard.bytes must account for what the shard actually holds
+  // or it drifts from reality on every insert.
+  Entry entry{key, epoch, 0, std::move(payload)};
+  entry.bytes = EntryBytes(entry);
   Shard& shard = *shards_[ShardOf(key)];
   MutexLock lock(shard.mutex);
   auto found = shard.index.find(key);
   if (entry.bytes > per_shard_bytes_) {  // Would evict the whole shard.
     // An existing entry for the key still has to go — it is stale relative
-    // to the newer result we cannot store — but the drop is counted (stale
+    // to the newer payload we cannot store — but the drop is counted (stale
     // epoch: invalidation; otherwise: capacity eviction) instead of
     // disappearing from the books.
     if (found != shard.index.end()) {
@@ -128,10 +162,7 @@ size_t QueryCache::RecomputeBytes() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     MutexLock lock(shard->mutex);
-    for (const Entry& entry : shard->lru) {
-      total += entry.key.capacity() + sizeof(Entry) +
-               ApproxResultBytes(entry.result);
-    }
+    for (const Entry& entry : shard->lru) total += EntryBytes(entry);
   }
   return total;
 }

@@ -1,6 +1,8 @@
 #ifndef FORESIGHT_CORE_SESSION_H_
 #define FORESIGHT_CORE_SESSION_H_
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,12 +21,15 @@ struct QuerySessionOptions {
 /// The serving layer in front of InsightEngine (the paper frames insight
 /// queries as an interactive, high-traffic workload: the demo repeatedly
 /// issues top-k queries over the same profiled table). A QuerySession
-/// answers repeated queries from a sharded LRU result cache and overlapping
-/// query batches from shared candidate work, instead of re-enumerating and
-/// re-evaluating every candidate on every call — the same query-reuse idea
-/// as SeeDB's shared scans and Zenvisage's reuse layer.
+/// answers repeated queries and per-class overviews from one sharded LRU
+/// cache and overlapping query batches from shared candidate work, instead
+/// of re-enumerating and re-evaluating every candidate on every call — the
+/// same query-reuse idea as SeeDB's shared scans and Zenvisage's reuse
+/// layer. Query entries hold results (each hit copies one out, to stamp its
+/// own telemetry); overview entries hold the encoded response body, served
+/// as is.
 ///
-/// Thread safety: Execute/ExecuteBatch are const and safe to call
+/// Thread safety: Execute/ExecuteBatch/Overview are const and safe to call
 /// concurrently (the cache is internally mutex-striped); the explorer's
 /// carousel fan-out issues its per-class queries through one session from
 /// many pool threads. Staleness safety: every cache entry is keyed to the
@@ -59,6 +64,26 @@ class QuerySession {
   /// Bit-identical to calling Execute() per query, in order.
   StatusOr<std::vector<InsightQueryResult>> ExecuteBatch(
       std::span<const InsightQuery> queries) const;
+
+  /// Encodes a computed overview into the response body the cache stores.
+  /// Supplied by the serving layer, so core/ does not depend on serve/.
+  using OverviewEncoder =
+      std::function<std::string(const CorrelationOverview&)>;
+
+  /// Serves ComputePairwiseOverview(class_name, options) as `encode` renders
+  /// it. On a table that has not changed the overview is the same for every
+  /// request, so the encoded body is cached under a canonical key (class,
+  /// resolved metric and mode, and the threshold bits in exact mode; kAuto
+  /// and its resolved mode share one entry) at the current serving epoch: a
+  /// hit neither computes nor encodes, and any engine/table change
+  /// invalidates it like a query result. The request is validated before the
+  /// lookup and errors are never cached, so the outcome is the same with the
+  /// cache on or off. Every caller of one session must pass the same
+  /// encoder (the key does not name it). A body larger than a shard's byte
+  /// slice is returned uncached.
+  StatusOr<std::shared_ptr<const std::string>> Overview(
+      const std::string& class_name, const PairwiseOverviewOptions& options,
+      const OverviewEncoder& encode) const;
 
   QueryCacheStats cache_stats() const { return cache_.stats(); }
   void ClearCache() { cache_.Clear(); }

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,13 +32,23 @@ constexpr uint64_t kFirstConnId = 2;
 constexpr std::string_view kJsonContentType = "application/json";
 constexpr std::string_view kOverviewPrefix = "/v1/overview/";
 
-HttpResponse JsonResponse(int status, const JsonValue& body) {
+/// The v1 wire body of `json`: its dump plus a trailing newline.
+std::string EncodeBody(const JsonValue& json) {
+  std::string body = json.Dump();
+  body += '\n';
+  return body;
+}
+
+HttpResponse JsonBodyResponse(int status, std::string body) {
   HttpResponse response;
   response.status = status;
   response.headers.emplace_back("Content-Type", std::string(kJsonContentType));
-  response.body = body.Dump();
-  response.body += '\n';
+  response.body = std::move(body);
   return response;
+}
+
+HttpResponse JsonResponse(int status, const JsonValue& body) {
+  return JsonBodyResponse(status, EncodeBody(body));
 }
 
 HttpResponse ErrorResponse(const Status& status) {
@@ -72,7 +83,8 @@ HttpResponse MethodNotAllowed(const std::string& allow) {
 
 /// Splits the "?key=value&..." suffix of a request target. Values are used
 /// verbatim (no percent-decoding): v1 parameter values are metric names,
-/// mode names, dataset ids, and numbers, none of which need escaping.
+/// mode names, dataset ids, and numbers, none of which need escaping. A
+/// repeated parameter is rejected, as a repeated JSON key is.
 /// `dataset` receives the dataset selector ("" when absent).
 Status ParseOverviewParams(std::string_view target,
                            PairwiseOverviewOptions* options,
@@ -80,6 +92,7 @@ Status ParseOverviewParams(std::string_view target,
   const size_t question = target.find('?');
   if (question == std::string_view::npos) return Status::OK();
   std::string_view params = target.substr(question + 1);
+  std::vector<std::string_view> seen;
   while (!params.empty()) {
     const size_t amp = params.find('&');
     std::string_view pair = params.substr(0, amp);
@@ -92,6 +105,11 @@ Status ParseOverviewParams(std::string_view target,
     }
     const std::string_view key = pair.substr(0, eq);
     const std::string value(pair.substr(eq + 1));
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      return Status::InvalidArgument("duplicate query parameter '" +
+                                     std::string(key) + "'");
+    }
+    seen.push_back(key);
     if (key == "metric") {
       options->metric = value;
     } else if (key == "mode") {
@@ -616,12 +634,15 @@ HttpResponse HttpServer::HandleApi(const HttpRequest& request) const {
   if (!params.ok()) return ErrorResponse(params);
   StatusOr<const QuerySession*> session = ResolveSession(dataset, &pin);
   if (!session.ok()) return ErrorResponse(session.status());
+  // Held across the epoch read, cache lookup, compute and insert, as on the
+  // query route, so an append cannot land between them.
   ReaderLockMaybe guard(pin != nullptr ? &pin->data_mutex() : nullptr);
-  StatusOr<CorrelationOverview> overview =
-      (*session)->engine().ComputePairwiseOverview(class_name,
-                                                   overview_options);
-  if (!overview.ok()) return ErrorResponse(overview.status());
-  return JsonResponse(200, WireOverviewResponseV1(*overview));
+  StatusOr<std::shared_ptr<const std::string>> body = (*session)->Overview(
+      class_name, overview_options, [](const CorrelationOverview& overview) {
+        return EncodeBody(WireOverviewResponseV1(overview));
+      });
+  if (!body.ok()) return ErrorResponse(body.status());
+  return JsonBodyResponse(200, **body);
 }
 
 void HttpServer::RunJob(Job job) {

@@ -21,25 +21,20 @@ namespace ingest_kernels {
 // let the compiler contract mul+add pairs and break bit-identity with the
 // scalar reference path.)
 
-/// acc[i] += (values[j] * scale) * panel[j*k + i] for each row j < count.
-/// The scaled value is rounded once per row before the inner loop, exactly
-/// as the row-at-a-time path does. scale == 1.0 is exact (identity).
-void DenseValuesAxpy(const double* panel, const double* values, size_t count,
-                     size_t k, double scale, double* acc);
-
-/// Multi-column variant of DenseValuesAxpy: accs[c][i] += (values[c][j] *
-/// scale) * panel[j*k + i] for each of ncols column streams. Each column's
-/// accumulator receives the identical addition sequence as a DenseValuesAxpy
-/// call would produce, but every four-row panel slab is loaded once and
-/// swept by all columns while hot in L1 — the caller batches columns in
+/// accs[c][i] += (values[c][j] * scale) * panel[j*k + i] for each row
+/// j < count of each of ncols column streams. The scaled value is rounded
+/// once per row before the inner loop, exactly as the row-at-a-time path
+/// does (scale == 1.0 is exact). Every four-row panel slab is loaded once
+/// and swept by all columns while hot in L1 — the caller batches columns in
 /// small groups so the group's accumulators stay cache-resident too.
 void DenseValuesAxpyGroup(const double* panel, const double* const* values,
                           size_t ncols, size_t count, size_t k, double scale,
                           double* const* accs);
 
-/// Same as DenseValuesAxpy, but row j of the block lives at
-/// panel[local_rows[j]*k] — used for columns with nulls, where valid rows
-/// were compacted.
+/// Single-column form where row j of the block lives at
+/// panel[local_rows[j]*k]: acc[i] += (values[j] * scale) *
+/// panel[local_rows[j]*k + i] — used for columns with nulls, where valid
+/// rows were compacted.
 void GatherValuesAxpy(const double* panel, const uint32_t* local_rows,
                       const double* values, size_t count, size_t k,
                       double scale, double* acc);

@@ -89,13 +89,8 @@ void ProjectionSketcher::AccumulateValuesBlock(const double* panel,
                                                double* components) const {
   // The shared kernel rounds the scaled value once per row before the inner
   // loop, exactly as BundleBuilder::AccumulateNumeric does.
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseValuesAxpy(panel, values, count, k_, scale,
-                                    components);
-  } else {
-    ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_,
-                                     scale, components);
-  }
+  ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_,
+                                   scale, components);
 }
 
 void ProjectionSketcher::AccumulateOnesBlock(const double* panel,

@@ -73,10 +73,10 @@ class ProjectionSketcher {
   void GenerateRowComponents(size_t row, double* out) const;
 
   /// Blocked accumulation against a pre-generated projection panel (row-major
-  /// with stride k; panel row j starts at panel + j * k). When `local_rows`
-  /// is null, values[j] pairs with panel row j; otherwise with panel row
-  /// local_rows[j]. Accumulates, for each row j in ascending order,
-  ///   components[i] += (values[j] * scale) * panel[local_row(j)][i]
+  /// with stride k; panel row j starts at panel + j * k). values[j] pairs
+  /// with panel row local_rows[j] (nulls compacted out; never null).
+  /// Accumulates, for each row j in ascending order,
+  ///   components[i] += (values[j] * scale) * panel[local_rows[j]][i]
   /// with the per-row scaled value computed first — the exact operation
   /// order of the row-at-a-time path, so results are bit-identical.
   void AccumulateValuesBlock(const double* panel, const uint32_t* local_rows,

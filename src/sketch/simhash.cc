@@ -144,12 +144,8 @@ void HyperplaneSketcher::AccumulateValuesBlock(const double* panel,
                                                double* dot) const {
   // Raw values: scale == 1.0 is exact, so the shared kernel feeds dot[i]
   // the same products as the row-at-a-time path.
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseValuesAxpy(panel, values, count, k_, 1.0, dot);
-  } else {
-    ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_,
-                                     1.0, dot);
-  }
+  ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_, 1.0,
+                                   dot);
 }
 
 void HyperplaneSketcher::AccumulateOnesBlock(const double* panel,

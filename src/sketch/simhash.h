@@ -102,11 +102,11 @@ class HyperplaneSketcher {
   /// Blocked accumulation against a pre-generated hyperplane panel.
   ///
   /// `panel` holds consecutive rows' hyperplane components, row-major with
-  /// stride k: panel row j starts at panel + j * k. When `local_rows` is
-  /// null, values[j] pairs with panel row j (a fully-valid row range);
-  /// otherwise values[j] pairs with panel row local_rows[j] (nulls compacted
-  /// out). Accumulates dot[i] += values[j] * panel[local_row(j)][i] over all
-  /// j in ascending order.
+  /// stride k: panel row j starts at panel + j * k. values[j] pairs with
+  /// panel row local_rows[j] (nulls compacted out; never null — fully-valid
+  /// columns take ingest_kernels::DenseValuesAxpyGroup). Accumulates
+  /// dot[i] += values[j] * panel[local_rows[j]][i] over all j in ascending
+  /// order.
   ///
   /// Bit-identity guarantee: each accumulator dot[i] receives exactly the
   /// additions the row-at-a-time path (GenerateRowHyperplanes + scalar

@@ -2,8 +2,9 @@
 // mutable ones: the default dataset is always read-only (409), appends route
 // per dataset id, the strict wire codec rejects malformed bodies without
 // mutating anything, post-append answers are byte-identical to in-process
-// execution on the grown dataset, and — the TSAN surface — concurrent
-// appends race queries on a dataset's data_mutex(), the only append lock
+// execution on the grown dataset (cached overviews included: an append
+// invalidates them), and — the TSAN surface — concurrent appends race
+// queries and overviews on a dataset's data_mutex(), the only append lock
 // the server has.
 #include <gtest/gtest.h>
 
@@ -349,6 +350,120 @@ TEST(AppendServeTest, RegistryRoutedAppendTargetsOneDatasetOnly) {
       client.Request("POST", "/v1/append", BenchmarkRowBody("", 1.0));
   ASSERT_TRUE(no_default.ok());
   EXPECT_EQ(no_default->status, 409);
+}
+
+/// The `GET /v1/overview/*` body a fresh engine over a deep copy of
+/// `dataset`'s current table serves (caller holds the dataset's lock).
+std::string FreshEngineOverviewBody(const ResidentDataset& dataset,
+                                    const PairwiseOverviewOptions& options) {
+  DataTable copy = dataset.table().Clone();
+  auto engine = InsightEngine::Create(copy);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return "";
+  auto overview =
+      engine->ComputePairwiseOverview("linear_relationship", options);
+  EXPECT_TRUE(overview.ok()) << overview.status().ToString();
+  return overview.ok() ? WireOverviewResponseV1(*overview).Dump() + "\n" : "";
+}
+
+TEST(AppendServeTest, AppendInvalidatesCachedOverview) {
+  RegistryAppendFixture fixture;
+  HttpClient client = fixture.Client();
+  const std::shared_ptr<const ResidentDataset> dataset =
+      fixture.Dataset("set0");
+  ASSERT_NE(dataset, nullptr);
+  // Exact mode: the matrix comes from the table alone, so a fresh engine
+  // (whatever its profile) must agree byte for byte.
+  const std::string target =
+      "/v1/overview/linear_relationship?dataset=set0&mode=exact";
+  PairwiseOverviewOptions options;
+  options.mode = ExecutionMode::kExact;
+
+  auto first = client.Request("GET", target);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->status, 200) << first->body;
+  auto second = client.Request("GET", target);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->status, 200);
+  EXPECT_EQ(second->body, first->body);
+  const QueryCacheStats cached = dataset->session().cache_stats();
+  EXPECT_EQ(cached.hits, 1u);
+  {
+    ReaderLock lock(dataset->data_mutex());
+    EXPECT_EQ(first->body, FreshEngineOverviewBody(*dataset, options));
+  }
+
+  auto append = client.Request(
+      "POST", "/v1/append",
+      UniformRowBody("set0", dataset->table(), 1e3, /*copies=*/4));
+  ASSERT_TRUE(append.ok());
+  ASSERT_EQ(append->status, 200) << append->body;
+
+  auto grown = client.Request("GET", target);
+  ASSERT_TRUE(grown.ok());
+  ASSERT_EQ(grown->status, 200) << grown->body;
+  const QueryCacheStats after = dataset->session().cache_stats();
+  EXPECT_EQ(after.invalidations, cached.invalidations + 1);
+  EXPECT_EQ(after.hits, cached.hits);  // Recomputed, not served stale.
+  EXPECT_NE(grown->body, first->body);
+  ReaderLock lock(dataset->data_mutex());
+  EXPECT_EQ(grown->body, FreshEngineOverviewBody(*dataset, options));
+}
+
+TEST(AppendServeTest, ConcurrentOverviewsAndAppendsStayCoherent) {
+  // The TSAN surface for overview entries: cached overview lookups, computes
+  // and inserts (shared dataset lock) racing appends (exclusive) that
+  // invalidate them. Every request must succeed, and the last answer must
+  // match a fresh engine over the final table.
+  RegistryAppendFixture fixture;
+  const std::shared_ptr<const ResidentDataset> dataset =
+      fixture.Dataset("set0");
+  ASSERT_NE(dataset, nullptr);
+  constexpr int kAppends = 6;
+  constexpr int kOverviewThreads = 2;
+  constexpr int kOverviewsPerThread = 12;
+  std::vector<std::string> append_bodies;
+  for (int i = 0; i < kAppends; ++i) {
+    append_bodies.push_back(UniformRowBody("set0", dataset->table(),
+                                           static_cast<double>(7 * i)));
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&fixture, &failures, &append_bodies] {
+    HttpClient client = fixture.Client();
+    for (const std::string& body : append_bodies) {
+      auto response = client.Request("POST", "/v1/append", body);
+      if (!response.ok() || response->status != 200) failures.fetch_add(1);
+    }
+  });
+  for (int t = 0; t < kOverviewThreads; ++t) {
+    threads.emplace_back([&fixture, &failures, t] {
+      HttpClient client = fixture.Client();
+      for (int i = 0; i < kOverviewsPerThread; ++i) {
+        const std::string target =
+            (i + t) % 2 == 0
+                ? "/v1/overview/linear_relationship?dataset=set0&mode=sketch"
+                : "/v1/overview/linear_relationship?dataset=set0&mode=exact"
+                  "&refine_min_score=0.8";
+        auto response = client.Request("GET", target);
+        if (!response.ok() || response->status != 200) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  HttpClient client = fixture.Client();
+  auto last = client.Request(
+      "GET", "/v1/overview/linear_relationship?dataset=set0&mode=exact");
+  ASSERT_TRUE(last.ok());
+  ASSERT_EQ(last->status, 200) << last->body;
+  PairwiseOverviewOptions options;
+  options.mode = ExecutionMode::kExact;
+  ReaderLock lock(dataset->data_mutex());
+  EXPECT_EQ(dataset->table().num_rows(), 150u + kAppends);
+  EXPECT_EQ(last->body, FreshEngineOverviewBody(*dataset, options));
 }
 
 TEST(AppendServeTest, ConcurrentAppendsAndQueriesStayCoherent) {

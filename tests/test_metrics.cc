@@ -342,6 +342,39 @@ TEST_F(MetricsEngineTest, RankedOutputBitIdenticalWithAndWithoutMetrics) {
       }
     }
   }
+  // Overviews too: the matrix, the per-cell provenance and the prune block.
+  size_t overviews = 0;
+  for (const char* class_name :
+       {"linear_relationship", "monotonic_relationship"}) {
+    for (ExecutionMode mode : {ExecutionMode::kExact, ExecutionMode::kSketch}) {
+      for (double refine_min_score : {0.0, 0.8}) {
+        SCOPED_TRACE(std::string(class_name) + " refine=" +
+                     std::to_string(refine_min_score));
+        PairwiseOverviewOptions options;
+        options.mode = mode;
+        options.refine_min_score = refine_min_score;
+        auto a = with.ComputePairwiseOverview(class_name, options);
+        auto b = without.ComputePairwiseOverview(class_name, options);
+        ASSERT_TRUE(a.ok()) << a.status();
+        ASSERT_TRUE(b.ok()) << b.status();
+        ++overviews;
+        EXPECT_EQ(a->metric_name, b->metric_name);
+        EXPECT_EQ(a->attribute_names, b->attribute_names);
+        EXPECT_EQ(a->matrix, b->matrix);  // Bit-identical doubles.
+        EXPECT_EQ(a->provenance, b->provenance);
+        EXPECT_EQ(a->cell_provenance, b->cell_provenance);
+        EXPECT_EQ(a->prune.used, b->prune.used);
+        EXPECT_EQ(a->prune.pairs_pruned, b->prune.pairs_pruned);
+        EXPECT_EQ(a->prune.pairs_refined, b->prune.pairs_refined);
+      }
+    }
+  }
+  // Each computed overview is counted and timed only where metrics are on.
+  EXPECT_EQ(with.metrics()->counter("engine.overviews_total").value(),
+            overviews);
+  EXPECT_EQ(with.metrics()->histogram("engine.overview_ms").count(),
+            overviews);
+  EXPECT_EQ(without.metrics(), nullptr);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "core/query_cache.h"
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +28,9 @@
 namespace foresight {
 namespace {
 
-InsightQueryResult MakeResult(size_t description_bytes) {
-  InsightQueryResult result;
+std::shared_ptr<const InsightQueryResult> MakeResult(
+    size_t description_bytes) {
+  auto result = std::make_shared<InsightQueryResult>();
   Insight insight;
   insight.class_name = "dispersion";
   insight.metric_name = "variance";
@@ -37,8 +39,8 @@ InsightQueryResult MakeResult(size_t description_bytes) {
   insight.attribute_names = {"col"};
   insight.raw_value = 1.0;
   insight.score = 1.0;
-  result.insights.push_back(std::move(insight));
-  result.candidates_evaluated = 1;
+  result->insights.push_back(std::move(insight));
+  result->candidates_evaluated = 1;
   return result;
 }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +12,7 @@
 
 #include "core/explorer.h"
 #include "data/generators.h"
+#include "serve/wire.h"
 
 namespace foresight {
 
@@ -205,13 +209,25 @@ TEST_F(QuerySessionTest, WorkerChangeInvalidates) {
   QuerySession session(*engine_);
   InsightQuery query = LinearQuery();
   ASSERT_TRUE(session.Execute(query).ok());
+  PairwiseOverviewOptions exact;
+  exact.mode = ExecutionMode::kExact;
+  auto encode = [](const CorrelationOverview& overview) {
+    return WireOverviewResponseV1(overview).Dump() + "\n";
+  };
+  auto overview = session.Overview("linear_relationship", exact, encode);
+  ASSERT_TRUE(overview.ok());
 
   engine_->set_num_workers(engine_->num_workers() == 1 ? 2 : 1);
 
   auto result = session.Execute(query);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->cache_hit);
-  EXPECT_GE(session.cache_stats().invalidations, 1u);
+  // Overview entries follow the same epoch rule: recomputed, same bytes.
+  auto recomputed = session.Overview("linear_relationship", exact, encode);
+  ASSERT_TRUE(recomputed.ok());
+  EXPECT_NE(recomputed->get(), overview->get());
+  EXPECT_EQ(**recomputed, **overview);
+  EXPECT_EQ(session.cache_stats().invalidations, 2u);
 }
 
 TEST_F(QuerySessionTest, TagChangeInvalidates) {
@@ -352,6 +368,210 @@ TEST_F(QuerySessionTest, DefaultOverviewOptionsSelectClassDefaultMetric) {
   EXPECT_EQ(defaulted->metric_name, "pearson");
   EXPECT_EQ(defaulted->attribute_names, explicit_metric->attribute_names);
   EXPECT_EQ(defaulted->matrix, explicit_metric->matrix);
+}
+
+// ---------------------------------------------------------------------------
+// Overview entries: encoded response bodies in the same cache.
+
+/// The serving layer's overview encoder (`GET /v1/overview/*` body).
+std::string EncodeOverview(const CorrelationOverview& overview) {
+  return WireOverviewResponseV1(overview).Dump() + "\n";
+}
+
+/// A fresh compute + encode, bypassing every cache.
+std::string FreshOverviewBody(const InsightEngine& engine,
+                              const std::string& class_name,
+                              const PairwiseOverviewOptions& options) {
+  auto overview = engine.ComputePairwiseOverview(class_name, options);
+  EXPECT_TRUE(overview.ok()) << overview.status();
+  return overview.ok() ? EncodeOverview(*overview) : std::string();
+}
+
+PairwiseOverviewOptions ExactOverview(double refine_min_score) {
+  PairwiseOverviewOptions options = OverviewOptions(ExecutionMode::kExact);
+  options.refine_min_score = refine_min_score;
+  return options;
+}
+
+TEST_F(QuerySessionTest, OverviewHitIsByteIdenticalToFreshEncode) {
+  QuerySession session(*engine_);
+  size_t encodes = 0;
+  auto counting = [&encodes](const CorrelationOverview& overview) {
+    ++encodes;
+    return EncodeOverview(overview);
+  };
+  for (const PairwiseOverviewOptions& options :
+       {OverviewOptions(ExecutionMode::kSketch), ExactOverview(0.8),
+        ExactOverview(0.0)}) {
+    const std::string fresh =
+        FreshOverviewBody(*engine_, "linear_relationship", options);
+    const size_t encodes_before = encodes;
+    auto cold = session.Overview("linear_relationship", options, counting);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_EQ(encodes, encodes_before + 1);
+    auto warm = session.Overview("linear_relationship", options, counting);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_EQ(encodes, encodes_before + 1);  // A hit neither computes nor
+                                              // encodes...
+    EXPECT_EQ(warm->get(), cold->get());      // ...it shares the one body.
+    EXPECT_EQ(**cold, fresh);
+    EXPECT_EQ(**warm, fresh);
+  }
+  QueryCacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+}
+
+TEST_F(QuerySessionTest, OverviewKeyCanonicalization) {
+  QuerySession session(*engine_);
+  // kAuto resolves to sketch (the engine has a profile): one entry.
+  auto automatic = session.Overview(
+      "linear_relationship", OverviewOptions(ExecutionMode::kAuto),
+      EncodeOverview);
+  auto sketch = session.Overview(
+      "linear_relationship", OverviewOptions(ExecutionMode::kSketch, "pearson"),
+      EncodeOverview);
+  ASSERT_TRUE(automatic.ok());
+  ASSERT_TRUE(sketch.ok());
+  EXPECT_EQ(automatic->get(), sketch->get());
+  EXPECT_EQ(session.cache_stats().entries, 1u);
+
+  // Sketch mode ignores the threshold.
+  PairwiseOverviewOptions thresholded = OverviewOptions(ExecutionMode::kSketch);
+  thresholded.refine_min_score = 0.5;
+  auto sketch_thresholded =
+      session.Overview("linear_relationship", thresholded, EncodeOverview);
+  ASSERT_TRUE(sketch_thresholded.ok());
+  EXPECT_EQ(sketch_thresholded->get(), sketch->get());
+  EXPECT_EQ(session.cache_stats().entries, 1u);
+
+  // "0.8" and "0.80" parse to one double: one exact entry.
+  auto point_eight = session.Overview(
+      "linear_relationship", ExactOverview(std::strtod("0.8", nullptr)),
+      EncodeOverview);
+  auto point_eighty = session.Overview(
+      "linear_relationship", ExactOverview(std::strtod("0.80", nullptr)),
+      EncodeOverview);
+  ASSERT_TRUE(point_eight.ok());
+  ASSERT_TRUE(point_eighty.ok());
+  EXPECT_EQ(point_eight->get(), point_eighty->get());
+  EXPECT_EQ(session.cache_stats().entries, 2u);
+
+  // Exact mode at another threshold is another entry, with its own bytes.
+  auto point_five = session.Overview("linear_relationship", ExactOverview(0.5),
+                                     EncodeOverview);
+  ASSERT_TRUE(point_five.ok());
+  EXPECT_NE(point_five->get(), point_eight->get());
+  EXPECT_EQ(**point_five,
+            FreshOverviewBody(*engine_, "linear_relationship",
+                              ExactOverview(0.5)));
+  EXPECT_EQ(session.cache_stats().entries, 3u);
+
+  // Another metric of the class is another entry too.
+  auto projection = session.Overview(
+      "linear_relationship",
+      OverviewOptions(ExecutionMode::kSketch, "pearson_projection"),
+      EncodeOverview);
+  ASSERT_TRUE(projection.ok()) << projection.status();
+  EXPECT_NE(projection->get(), sketch->get());
+  EXPECT_EQ(session.cache_stats().entries, 4u);
+
+  // Overview keys never alias query keys: a query after the overviews is a
+  // miss, and its result is unaffected.
+  auto query = session.Execute(LinearQuery());
+  ASSERT_TRUE(query.ok());
+  EXPECT_FALSE(query->cache_hit);
+}
+
+TEST_F(QuerySessionTest, OverviewErrorsMatchEngineAndAreNeverCached) {
+  QueryCacheOptions tiny;
+  tiny.max_bytes = 64;
+  QuerySession cached(*engine_);
+  QuerySession uncached(*engine_, QuerySessionOptions{tiny});
+  struct Case {
+    std::string class_name;
+    PairwiseOverviewOptions options;
+  };
+  const std::vector<Case> cases = {
+      {"no_such_class", {}},
+      {"skew", {}},  // Arity 1.
+      {"linear_relationship",
+       ExactOverview(std::numeric_limits<double>::quiet_NaN())},
+      {"linear_relationship", ExactOverview(-0.25)},
+      {"linear_relationship", OverviewOptions(ExecutionMode::kExact, "nope")},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.class_name + " metric=" + c.options.metric);
+    auto expected = engine_->ComputePairwiseOverview(c.class_name, c.options);
+    ASSERT_FALSE(expected.ok());
+    for (int round = 0; round < 2; ++round) {
+      for (const QuerySession* session : {&cached, &uncached}) {
+        auto served =
+            session->Overview(c.class_name, c.options, EncodeOverview);
+        ASSERT_FALSE(served.ok());
+        EXPECT_EQ(served.status().code(), expected.status().code());
+        EXPECT_EQ(served.status().message(), expected.status().message());
+      }
+    }
+  }
+  EXPECT_EQ(cached.cache_stats().entries, 0u);
+  EXPECT_EQ(cached.cache_stats().hits, 0u);
+  EXPECT_EQ(cached.cache_stats().bytes, 0u);
+}
+
+TEST_F(QuerySessionTest, OverviewBytesSameWithCacheOnAndOff) {
+  // A 64-byte budget cannot hold any body: every call computes, encodes and
+  // is served uncached. The bytes must not depend on it.
+  QueryCacheOptions tiny;
+  tiny.max_bytes = 64;
+  QuerySession on(*engine_);
+  QuerySession off(*engine_, QuerySessionOptions{tiny});
+  for (const PairwiseOverviewOptions& options :
+       {OverviewOptions(ExecutionMode::kAuto),
+        OverviewOptions(ExecutionMode::kExact, "pearson"), ExactOverview(0.8)}) {
+    for (int round = 0; round < 2; ++round) {
+      auto a = on.Overview("linear_relationship", options, EncodeOverview);
+      auto b = off.Overview("linear_relationship", options, EncodeOverview);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(**a, **b);
+    }
+  }
+  QueryCacheStats off_stats = off.cache_stats();
+  EXPECT_EQ(off_stats.entries, 0u);
+  EXPECT_EQ(off_stats.hits, 0u);
+  EXPECT_EQ(off_stats.bytes, 0u);
+  EXPECT_EQ(on.cache_stats().hits, 3u);
+}
+
+TEST(QueryCacheOverviewEntries, BytesAccountedAcrossPayloadKinds) {
+  QueryCacheOptions options;
+  options.num_shards = 2;
+  options.max_bytes = 1 << 14;
+  QueryCache cache(options);
+  auto result = std::make_shared<InsightQueryResult>();
+  result->insights.resize(3);
+  for (size_t i = 0; i < 40; ++i) {
+    std::string body(100 + 37 * i, 'b');
+    body.reserve(body.size() + i);  // Charged by capacity, as stored.
+    cache.Insert("overview|" + std::to_string(i), 1,
+                 std::make_shared<const std::string>(std::move(body)));
+    cache.Insert("v1|" + std::to_string(i), 1, result);
+    ASSERT_EQ(cache.stats().bytes, cache.RecomputeBytes()) << i;
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  // A key holding the other payload kind is a miss, never a bad cast.
+  cache.Insert("mixed", 1, std::make_shared<const std::string>("body"));
+  EXPECT_EQ(cache.Lookup("mixed", 1), nullptr);
+  ASSERT_NE(cache.LookupBody("mixed", 1), nullptr);
+  EXPECT_EQ(*cache.LookupBody("mixed", 1), "body");
+  // A body over a shard's slice is not stored.
+  cache.Insert("huge", 1, std::make_shared<const std::string>(1 << 14, 'h'));
+  EXPECT_EQ(cache.LookupBody("huge", 1), nullptr);
+  EXPECT_EQ(cache.stats().bytes, cache.RecomputeBytes());
+  cache.Clear();
+  EXPECT_EQ(cache.RecomputeBytes(), 0u);
 }
 
 TEST_F(QuerySessionTest, ExplorerSharesTheSessionCache) {

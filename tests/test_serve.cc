@@ -224,6 +224,15 @@ TEST(ServeTest, OverviewMatchesInProcessAndParsesParams) {
   auto body = JsonValue::Parse(response->body);
   ASSERT_TRUE(body.ok());
   EXPECT_EQ(body->Get("result")->Dump(), expected);
+  // The repeat is served from the session cache, byte for byte the fresh
+  // encode of the whole response.
+  auto repeat =
+      client.Request("GET", "/v1/overview/linear_relationship?mode=exact");
+  ASSERT_TRUE(repeat.ok());
+  ASSERT_EQ(repeat->status, 200);
+  EXPECT_EQ(repeat->body, WireOverviewResponseV1(*in_process).Dump() + "\n");
+  EXPECT_EQ(repeat->body, response->body);
+  EXPECT_GE(fixture.session().cache_stats().hits, 1u);
 
   auto bad_param = client.Request(
       "GET", "/v1/overview/linear_relationship?fancy=1");
@@ -233,6 +242,20 @@ TEST(ServeTest, OverviewMatchesInProcessAndParsesParams) {
       client.Request("GET", "/v1/overview/linear_relationship?mode=warp");
   ASSERT_TRUE(bad_mode.ok());
   EXPECT_EQ(bad_mode->status, 400);
+  // A repeated parameter is ambiguous, not last-one-wins.
+  for (const std::string duplicated :
+       {"mode=exact&mode=sketch", "mode=exact&mode=exact",
+        "refine_min_score=0.8&mode=exact&refine_min_score=0.5",
+        "metric=pearson&metric=pearson_projection"}) {
+    SCOPED_TRACE(duplicated);
+    auto repeated = client.Request(
+        "GET", "/v1/overview/linear_relationship?" + duplicated);
+    ASSERT_TRUE(repeated.ok());
+    EXPECT_EQ(repeated->status, 400) << repeated->body;
+    auto error = JsonValue::Parse(repeated->body);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->Get("error")->Get("code")->as_string(), "InvalidArgument");
+  }
   // strtod parses "nan", so the engine's own threshold check must catch it.
   for (const std::string nan : {"nan", "-nan"}) {
     SCOPED_TRACE(nan);

@@ -20,9 +20,6 @@
 //
 // Every engine/query failure is reported with its Status and exits nonzero —
 // no silent {0,0,0} timings feeding NaN/inf speedups into the table.
-//
-// --smoke: small workload, equivalence + prune-activity checks only (< 5 s),
-// no JSON — for CI.
 
 #include <cmath>
 #include <cstdio>
@@ -265,42 +262,16 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
   return m;
 }
 
-int RunSmoke() {
-  std::printf("bench_pairwise_scaling --smoke: equivalence only\n");
-  // 2048 bits: at delta = 1e-9 the rho interval half-width near rho = 0 is
-  // ~0.23, comfortably under the planted-block threshold, so the planner
-  // actually prunes here (1024 bits leaves null pairs' upper bounds above
-  // the 25th-ranked lower bound and nothing would be discarded).
-  Workload smoke{"smoke 4k x 24", 4000, 24, 2048, 1, false};
-  Measured m = MeasureWorkload(smoke, /*parallel_probe=*/false);
-  if (!m.ok) return 1;
-  bool active = m.topk_telemetry.used && m.topk_telemetry.pairs_pruned > 0 &&
-                m.overview_telemetry.used &&
-                m.overview_telemetry.pairs_pruned > 0;
-  if (!active) {
-    std::printf("PRUNE INACTIVE: planner pruned nothing on the smoke "
-                "workload — the pipeline is not being exercised\n");
-  }
-  std::printf("top-k: %zu/%zu pairs pruned; overview: %zu/%zu cells pruned\n",
-              m.topk_telemetry.pairs_pruned, m.topk_telemetry.pairs_total,
-              m.overview_telemetry.pairs_pruned,
-              m.overview_telemetry.pairs_total);
-  std::printf("pruned results bit-identical to exhaustive exact: %s\n",
-              m.identical ? "yes" : "NO");
-  return (m.identical && active) ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool stretch = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
     if (std::strcmp(argv[i], "--stretch") == 0) {
       stretch = true;
       continue;
     }
-    std::fprintf(stderr, "unknown flag: %s (supported: --smoke, --stretch)\n",
+    std::fprintf(stderr, "unknown flag: %s (supported: --stretch)\n",
                  argv[i]);
     return 2;
   }

@@ -8,13 +8,9 @@
 // in tests/test_kernel_equivalence.cc; EXPERIMENTS A4 keeps the recorded
 // row-at-a-time timings this path replaced).
 // Results are printed AND written to BENCH_preprocess_kernels.json.
-//
-// --smoke: small table, profile identity across worker counts (< 5 s), no
-// JSON — for CI.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -50,13 +46,13 @@ struct RunResult {
   std::string fingerprint;  // Empty when profiling failed.
 };
 
-RunResult RunWorkers(const DataTable& table, size_t workers, int reps) {
+RunResult RunWorkers(const DataTable& table, size_t workers) {
   RunResult result;
   result.workers = workers;
   ThreadPool pool(workers);
   ThreadPool* pool_ptr = workers > 1 ? &pool : nullptr;
   std::vector<double> seconds;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     WallTimer timer;
     auto profile = Preprocessor::Profile(table, {}, pool_ptr);
     double elapsed = timer.ElapsedSeconds();
@@ -89,26 +85,9 @@ bool AllIdentical(const std::vector<RunResult>& runs) {
   return ok;
 }
 
-int RunSmoke() {
-  std::printf("bench_preprocess_kernels --smoke: worker-count identity only\n");
-  DataTable table = MakeBenchmarkTable(3000, 12, 3, kSeed);
-  std::vector<RunResult> runs;
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}}) {
-    runs.push_back(RunWorkers(table, workers, /*reps=*/1));
-  }
-  bool ok = AllIdentical(runs);
-  std::printf("profiles bit-identical across 1/2/3 workers: %s\n",
-              ok ? "yes" : "NO");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
-  }
-
+int main() {
   std::printf("Preprocessing ingestion (panel-blocked): worker sweep\n");
   std::printf("workload: %zu rows x (%zu numeric + %zu categorical) columns\n",
               kRows, kNumericCols, kCategoricalCols);
@@ -120,7 +99,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> runs;
   for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     WarnIfOversubscribed(workers);
-    runs.push_back(RunWorkers(table, workers, kReps));
+    runs.push_back(RunWorkers(table, workers));
     const RunResult& run = runs.back();
     std::printf("workers %zu | min %.3f s | median %.3f s\n", run.workers,
                 run.min_seconds, run.median_seconds);

@@ -137,11 +137,11 @@ class Preprocessor {
   /// before the new rows were appended (see DataTable::AppendRows) — by
   /// sketching ONLY rows [old_rows, num_rows) through the same panel-blocked
   /// kernels and merging the delta into each column's sketches in partition
-  /// order. The contract, gated by test_append_equivalence and re-gated by
-  /// bench_append: the grown profile is bit-identical to Profile() over the
-  /// full table with `partition_boundaries` replaying the same append
-  /// history. The shared row sample depends only on (seed, row count, sample
-  /// size), so it is recomputed and rematerialized outright.
+  /// order. The contract, gated by test_append_equivalence: the grown
+  /// profile is bit-identical to Profile() over the full table with
+  /// `partition_boundaries` replaying the same append history. The shared
+  /// row sample depends only on (seed, row count, sample size), so it is
+  /// recomputed and rematerialized outright.
   ///
   /// The delta uses the profile's own sketch geometry (options.sketch is
   /// ignored); options supplies the row sample (size and seed).

@@ -86,7 +86,6 @@ class QuerySession {
       const OverviewEncoder& encode) const;
 
   QueryCacheStats cache_stats() const { return cache_.stats(); }
-  void ClearCache() { cache_.Clear(); }
 
  private:
   const InsightEngine* engine_;

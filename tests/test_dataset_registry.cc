@@ -304,6 +304,8 @@ TEST_F(DatasetRegistryTest, ChurnUnderTightBudgetHoldsTheInvariant) {
   EXPECT_FALSE(budget_exceeded.load());
   DatasetRegistryStats stats = registry->stats();
   EXPECT_LE(stats.resident_bytes, registry->options().memory_budget_bytes);
+  EXPECT_LE(stats.peak_resident_bytes,
+            registry->options().memory_budget_bytes);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * kIterations);

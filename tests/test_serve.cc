@@ -152,27 +152,44 @@ TEST(ServeTest, MetricsExposesPrometheusText) {
 TEST(ServeTest, QueryIsBitIdenticalToInProcessExecution) {
   ServeFixture fixture(/*num_workers=*/2);
 
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.top_k = 5;
-  query.mode = ExecutionMode::kExact;
-  auto in_process = fixture.session().Execute(query);
-  ASSERT_TRUE(in_process.ok());
-  const std::string expected = WireResultV1(*in_process).Dump();
+  // Both execution modes, a pairwise and two single-column classes, and a
+  // min_score filter: the wire path may add latency, never change answers.
+  std::vector<InsightQuery> probes(5);
+  probes[0].class_name = "linear_relationship";
+  probes[0].top_k = 5;
+  probes[0].mode = ExecutionMode::kExact;
+  probes[1].class_name = "linear_relationship";
+  probes[1].top_k = 10;
+  probes[1].mode = ExecutionMode::kExact;
+  probes[2] = probes[1];
+  probes[2].mode = ExecutionMode::kSketch;
+  probes[3].class_name = "skew";
+  probes[3].top_k = 5;
+  probes[4].class_name = "outliers";
+  probes[4].top_k = 7;
+  probes[4].min_score = 0.1;
 
   HttpClient client = fixture.Client();
-  auto response = client.Request("POST", "/v1/query", query.ToJson().Dump());
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  ASSERT_EQ(response->status, 200) << response->body;
-  auto body = JsonValue::Parse(response->body);
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body->Get("api_version")->as_number(), 1.0);
-  // The deterministic result half must match the in-process run byte for
-  // byte; only the telemetry half may differ (latency, cache state).
-  EXPECT_EQ(body->Get("result")->Dump(), expected);
-  // The in-process call warmed the session cache, so the served result is a
-  // hit — proof both paths share one QuerySession.
-  EXPECT_TRUE(body->Get("telemetry")->Get("cache_hit")->as_bool());
+  for (const InsightQuery& query : probes) {
+    const std::string request = query.ToJson().Dump();
+    SCOPED_TRACE(request);
+    auto in_process = fixture.session().Execute(query);
+    ASSERT_TRUE(in_process.ok()) << in_process.status();
+    const std::string expected = WireResultV1(*in_process).Dump();
+
+    auto response = client.Request("POST", "/v1/query", request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->status, 200) << response->body;
+    auto body = JsonValue::Parse(response->body);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(body->Get("api_version")->as_number(), 1.0);
+    // The deterministic result half must match the in-process run byte for
+    // byte; only the telemetry half may differ (latency, cache state).
+    EXPECT_EQ(body->Get("result")->Dump(), expected);
+    // The in-process call warmed the session cache, so the served result is
+    // a hit — proof both paths share one QuerySession.
+    EXPECT_TRUE(body->Get("telemetry")->Get("cache_hit")->as_bool());
+  }
 }
 
 TEST(ServeTest, BatchMatchesInProcessAndKeepsOrder) {
